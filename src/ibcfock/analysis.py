@@ -60,7 +60,7 @@ def _run_cells(tasks, threads=1):
 # --------------------------------------------------------------------------
 
 def resolvent_solve(op, z, psi, tol=1e-8, maxiter=2000):
-    """Solve (op + z) x = psi iteratively on the matrix-free handle.
+    """Solve (op + z) x = psi iteratively on the handle's matrix.
 
     op must be hermitian (selfadjoint_claim) and Im z nonzero, so the
     shifted operator is boundedly invertible.  GMRES is run in the
@@ -78,9 +78,10 @@ def resolvent_solve(op, z, psi, tol=1e-8, maxiter=2000):
     if bnorm == 0.0:
         return FockVector.zero(space)
 
+    mat = op.matrix
+
     def matvec(x):
-        v = FockVector.unflatten(space, x)
-        return op.apply(v).flatten() + z * x
+        return ops.matvec(mat, x) + z * x
 
     n = space.total_dim
     A = LinearOperator((n, n), matvec=matvec, dtype=complex)
@@ -209,9 +210,12 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
                   for j in range(probes)]
     probe_ids = [f"probe{j}" for j in range(len(probes))]
 
-    href = ops.hamiltonian(model, space, ops.DiagonalMode.GRID_CONSISTENT, None)
-    refs = _run_cells([lambda p=p: resolvent_solve(href, 1j, p, tol) for p in probes],
-                      threads)
+    # Each operator is dropped before the next is built, and its solutions
+    # live only inside one helper call, so that the run never holds two
+    # operators or two sets of solutions at once.
+    refs = _solve_probes(
+        ops.hamiltonian(model, space, ops.DiagonalMode.GRID_CONSISTENT, None),
+        probes, tol, threads)
 
     e_grid, e_cont, rows, residuals = [], [], [], []
     for lam in lams:
@@ -219,23 +223,10 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
         e_grid.append(e)
         e_cont.append(model_mod.self_energy(
             model, lam if lam is not None else _grid_radius(space.grid)))
-        h_lam = ops.cutoff_hamiltonian(model, space, lam)
-
-        def shifted_apply(v, h=h_lam, e=e):
-            out = h.apply(v)
-            for n in range(space.n_max + 1):
-                out.sectors[n] += e * v.sectors[n]
-            return out
-
-        h_shift = ops.OperatorHandle(shifted_apply, ops.Connectivity.TRIDIAGONAL,
-                                     True, model, space, lam, "regularized_cutoff")
-        sols = _run_cells(
-            [lambda p=p: resolvent_solve(h_shift, 1j, p, tol) for p in probes],
-            threads)
-        errs, ress = [], []
-        for p, sol, ref in zip(probes, sols, refs):
-            errs.append((sol - ref).norm())
-            ress.append(np.linalg.norm((shifted_apply(sol) + 1j * sol - p).flatten()))
+        h_reg = ops.shifted(ops.cutoff_hamiltonian(model, space, lam), e,
+                            "regularized_cutoff")
+        errs, ress = _cutoff_errors(h_reg, probes, refs, tol, threads)
+        del h_reg
         rows.append(errs)
         residuals.append(ress)
 
@@ -246,6 +237,22 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
         grid={"d": space.grid.d, "points_per_axis": space.grid.points_per_axis,
               "k_max": k_max, "M": space.M, "n_max": space.n_max},
     )
+
+
+def _solve_probes(op, probes, tol, threads):
+    return _run_cells([lambda p=p: resolvent_solve(op, 1j, p, tol) for p in probes],
+                      threads)
+
+
+def _cutoff_errors(op, probes, refs, tol, threads):
+    """Distances of the resolvents of op to the references, and the true
+    solver residuals, per probe."""
+    errs, ress = [], []
+    for p, sol, ref in zip(probes, _solve_probes(op, probes, tol, threads), refs):
+        errs.append((sol - ref).norm())
+        x = sol.flatten()
+        ress.append(np.linalg.norm(ops.matvec(op.matrix, x) + 1j * x - p.flatten()))
+    return errs, ress
 
 
 def _grid_radius(grid):
@@ -446,8 +453,9 @@ def ground_energy(model, space, mode=ops.DiagonalMode.GRID_CONSISTENT, k=1,
     """The k lowest eigenvalues of the boundary-condition Hamiltonian.
 
     Dense diagonalization under the dimension cap; otherwise an iterative
-    extremal eigensolver on the matrix-free handle with residual
-    tolerance `tol`.
+    extremal eigensolver on the sparse matrix with tolerance `tol`, whose
+    eigenpairs are checked on their true residuals
+    ||H v - lambda v|| <= tol * max(1, |lambda|).
     """
     h = ops.hamiltonian(model, space, mode, cutoff)
     dim = space.total_dim
@@ -458,27 +466,30 @@ def ground_energy(model, space, mode=ops.DiagonalMode.GRID_CONSISTENT, k=1,
         vals = np.linalg.eigvalsh(mat)
         return [float(v) for v in vals[:k]]
 
-    def matvec(x):
-        return h.apply(FockVector.unflatten(space, x)).flatten()
-
-    A = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
     try:
-        vals = eigsh(A, k=k, which="SA", tol=tol,
-                     return_eigenvectors=False)
+        vals, vecs = eigsh(h.matrix, k=k, which="SA", tol=tol)
     except Exception as exc:  # ArpackNoConvergence and friends
         raise NoConvergence(f"extremal eigensolve failed: {exc}") from exc
-    return [float(v) for v in np.sort(vals)]
+    order = np.argsort(vals)
+    for lam, v in zip(vals[order], vecs.T[order]):
+        res = np.linalg.norm(ops.matvec(h.matrix, v) - lam * v)
+        if res > tol * max(1.0, abs(lam)):
+            raise NoConvergence(
+                f"eigenpair {lam:.10g} has residual {res:.3e} "
+                f"(target {tol * max(1.0, abs(lam)):.3e})", residual=res)
+    return [float(v) for v in vals[order]]
 
 
 def number_bound_check(model, space, samples=20, seed=0, cutoff=None):
     """Worst ratio ||N psi|| / (||N (1 - B) psi|| + ||psi||) over random states."""
     num = ops.number_multiplier(space, 1.0)
+    bmap = ops.boundary_map(model, space, cutoff)
     worst = 0.0
     for j in range(samples):
         psi = FockVector.random(space, seed + j)
         psi = (1.0 / psi.norm()) * psi
         n_psi = num.apply(psi).norm()
-        dressed = psi - ops.apply_boundary_map(model, space, cutoff, psi)
+        dressed = psi - bmap.apply(psi)
         denom = num.apply(dressed).norm() + psi.norm()
         worst = max(worst, n_psi / denom)
     return worst

@@ -68,14 +68,30 @@ class RunConfig:
         return buf.getvalue()
 
 
-def _floats(text):
-    return [float(x) for x in text.replace(",", " ").split()]
+def _number(section, key, conv, default):
+    """section[key] converted by conv (int or float), or default when the
+    key is absent; a malformed value is a ConfigError naming the key."""
+    text = section.get(key)
+    if text is None:
+        return default
+    try:
+        return conv(text)
+    except ValueError:
+        raise ConfigError(f"[{section.name}] {key} = '{text}' is not "
+                          f"{'an integer' if conv is int else 'a number'}") from None
+
+
+def _floats(text, where="list"):
+    try:
+        return [float(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"{where} = '{text}' is not a list of numbers") from None
 
 
 def _parse_model(section):
     kind = section.get("kind", "").strip().lower()
-    g = section.getfloat("g", 1.0)
-    m = section.getint("m", 1)
+    g = _number(section, "g", float, 1.0)
+    m = _number(section, "m", int, 1)
     if kind == "froehlich":
         return model_mod.froehlich(g=g, M=m)
     if kind == "nelson":
@@ -87,9 +103,10 @@ def _parse_model(section):
             if key not in section:
                 raise ConfigError(f"[model] power_law needs '{key}'")
         try:
-            return model_mod.power_law_model(section.getint("d"),
-                                             section.getfloat("alpha"),
-                                             section.getfloat("beta"), g=g, M=m)
+            return model_mod.power_law_model(_number(section, "d", int, None),
+                                             _number(section, "alpha", float, None),
+                                             _number(section, "beta", float, None),
+                                             g=g, M=m)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from exc
     raise ConfigError(f"[model] unknown kind '{kind}' "
@@ -108,24 +125,33 @@ def load_config(path, overrides=None):
     grid_spec, n_max = None, 0
     if "grid" in cp:
         gsec = cp["grid"]
-        if "d" in gsec and gsec.getint("d") != mdl.d:
-            raise ConfigError(f"[grid] d = {gsec.getint('d')} contradicts model.d = {mdl.d}")
+        d = _number(gsec, "d", int, mdl.d)
+        if d != mdl.d:
+            raise ConfigError(f"[grid] d = {d} contradicts model.d = {mdl.d}")
+        points = _number(gsec, "points_per_axis", int, 4)
+        k_max = _number(gsec, "k_max", float, 2.0)
         try:
-            grid_spec = GridSpec(mdl.d, gsec.getint("points_per_axis", 4),
-                                 gsec.getfloat("k_max", 2.0))
+            grid_spec = GridSpec(mdl.d, points, k_max)
         except ValueError as exc:
             raise ConfigError(f"[grid] {exc}") from exc
-        n_max = gsec.getint("n_max", 2)
+        n_max = _number(gsec, "n_max", int, 2)
         if n_max < 0:
             raise ConfigError("[grid] n_max must be >= 0")
 
     run = dict(cp["run"]) if "run" in cp else {}
     for key in ("tol", "probe_width"):
-        if key in run:
-            if float(run[key]) <= 0:
-                raise ConfigError(f"[run] {key} must be positive")
-    if grid_spec is not None and "lambdas" in run:
-        lams = _floats(run["lambdas"])
+        if key in run and _number(cp["run"], key, float, None) <= 0:
+            raise ConfigError(f"[run] {key} must be positive")
+    if "run" in cp:      # the keys only the commands read, checked here too
+        for key, conv in (("probes", int), ("eigenvalues", int), ("probe_seed", int),
+                          ("cauchy_tol", float), ("growth_threshold", float)):
+            _number(cp["run"], key, conv, None)
+        if run.get("points_per_unit"):
+            _number(cp["run"], "points_per_unit", float, None)
+    lists = {key: _floats(run[key], f"[run] {key}")
+             for key in ("lambdas", "etas", "ladder", "thetas", "p_values") if key in run}
+    if grid_spec is not None and "lambdas" in lists:
+        lams = lists["lambdas"]
         if not lams:
             raise ConfigError("[run] lambdas must not be empty")
         if any(l > grid_spec.k_max for l in lams):
@@ -335,8 +361,8 @@ def cmd_identity_check(cfg):
     defects = {"adjointness": abs(lhs - rhs) / scale}
 
     bmap = ops.apply_boundary_map(mdl, space, None, psi)
-    alt = -mdl.g * ops._invert_free_on_bosonic(
-        mdl, space, ops.apply_creation(mdl, space, None, psi))
+    alt = -mdl.g * ops.free_multiplier(mdl, space, -1.0).apply(
+        ops.apply_creation(mdl, space, None, psi))
     defects["boundary_map_factorization"] = (bmap - alt).norm() / max(psi.norm(), 1.0)
 
     hd = ops.assemble_dense(ops.hamiltonian(mdl, space, cfg.mode))

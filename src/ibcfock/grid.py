@@ -285,6 +285,7 @@ class FockSpace:
         self._ins_cache = {}
         self._src_shift_cache = {}
         self._omega_cache = {}
+        self._kernel_cache = {}     # ops primitives per (kind, model shape, cutoff)
 
     def __repr__(self):
         return (f"FockSpace(M={self.M}, n_max={self.n_max}, nodes={self.grid.n_nodes}, "

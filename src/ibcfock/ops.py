@@ -1,11 +1,24 @@
-"""Matrix-free operators on the truncated Fock space.
+"""Operators on the truncated Fock space as real sparse matrices.
 
-All kernel sums follow three rules that together make the finite-volume
-algebra exact:
+Every operator acts on the flat orthonormal basis of FockVector.flatten
+(each coefficient scaled by the square root of its inner-product
+weight), where the weighted adjoint is the plain transpose.  Every kernel
+is real, so each operator is one real float64 CSR matrix with int32
+indices.
 
-* a source index shifted off the box is dropped, so creation stays the
-  exact discrete adjoint of annihilation under the weighted inner
-  product;
+Two primitives are built from the index pairing of FockSpace.insert_map
+and FockSpace.source_shift, as (row, column, value) triplets emitted in
+blocks vectorized over nodes, and cached on the space per (model shape,
+cutoff): the annihilation kernel a and the off-diagonal contact kernel T.
+The rest is sparse algebra on them: creation is a.T, so a* = a^T holds
+exactly by construction; the boundary map B = -g L^(-1) a* is a row
+scaling of a.T; H = (1 - B)^T L (1 - B) + T and H_cutoff = L + g (a + a.T)
+are one CSR matrix per handle; dense assembly is .toarray().
+
+Three rules make the finite-volume algebra exact:
+
+* a source index shifted off the box is dropped, on both sides of every
+  pairing;
 * every operator is the composition or kernel form of the same index
   pairing, so identities like  boundary_map = -g * L^(-1) o creation
   hold to machine precision;
@@ -18,20 +31,30 @@ With E_grid the grid counterterm, this yields the finite-cutoff identity
 
     hamiltonian(grid-consistent, L) = cutoff_hamiltonian(L) + E_grid * Id
 
-exactly, for any common cutoff L including the full grid.
+to rounding, for any common cutoff L including the full grid.
+
+A primitive whose triplets would not fit in ASSEMBLY_BUDGET_BYTES, a fixed
+share of physical memory, is not stored: it streams the same node blocks
+on every apply, and the operators built on it are LinearOperator chains.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import operator
+import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import quad
-from .grid import FockSpace, FockVector
+from .grid import FockSpace, FockVector, MomentumGrid
 
 __all__ = [
     "Connectivity",
@@ -39,6 +62,7 @@ __all__ = [
     "SingularInverse",
     "DimensionCap",
     "OperatorHandle",
+    "matvec",
     "free_multiplier",
     "number_multiplier",
     "apply_annihilation",
@@ -51,10 +75,12 @@ __all__ = [
     "counterterm_grid",
     "ContactDiagonalCache",
     "contact_diagonal",
+    "apply_contact_offdiagonal",
     "contact_offdiagonal",
     "contact_term",
     "cutoff_hamiltonian",
     "hamiltonian",
+    "shifted",
     "assemble_dense",
     "dense_to_csv",
     "dense_to_npy",
@@ -62,6 +88,16 @@ __all__ = [
 ]
 
 DENSE_CAP = 20_000
+
+# A primitive kernel is assembled only if its triplets fit in this share
+# of physical memory; above it the kernel streams its blocks per apply.
+ASSEMBLY_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8
+# Peak bytes per triplet while assembling: int32 row and column and
+# float64 value of the COO triplets, plus the float64 value and int32
+# index of the CSR entry.
+_BYTES_PER_TRIPLET = 28
+# Triplets per emitted block, which bounds the temporaries of one block.
+_BLOCK_TRIPLETS = 1 << 20
 
 
 class Connectivity(Enum):
@@ -84,38 +120,323 @@ class DimensionCap(RuntimeError):
     """Dense assembly request beyond the configured dimension cap."""
 
 
+def matvec(mat, x):
+    """mat @ x for a real operator and a real or complex vector x.
+
+    A complex x is applied as its (n, 2) real view, so the real matrix is
+    never copied to complex.
+    """
+    if not np.iscomplexobj(x):
+        return mat @ x
+    pairs = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+    return np.ascontiguousarray(mat @ pairs).view(complex).ravel()
+
+
 @dataclass
 class OperatorHandle:
-    """A linear map on FockVectors with declared sector connectivity."""
+    """A linear map on FockVectors with declared sector connectivity.
 
-    apply: callable
+    `matrix` acts on FockVector.flatten coordinates: a real CSR matrix,
+    or a LinearOperator above the assembly budget.  Diagonal operators
+    also carry their per-sector `factors`; apply multiplies those into
+    the coefficients directly, without the weight round trip of the flat
+    basis, so that a unit factor is exactly the identity.
+    """
+
+    matrix: object
     connectivity: Connectivity
     selfadjoint_claim: bool
     model: object
     space: FockSpace
     cutoff: float | None
     name: str
-    _adjoint: callable | None = None
+    factors: list | None = None
 
     @property
     def grid(self):
         return self.space.grid
 
+    def apply(self, psi):
+        if self.factors is not None:
+            return FockVector(self.space,
+                              [f * s for f, s in zip(self.factors, psi.sectors)])
+        return FockVector.unflatten(self.space, matvec(self.matrix, psi.flatten()))
+
     def adjoint_apply(self, psi):
         if self.selfadjoint_claim:
             return self.apply(psi)
-        if self._adjoint is None:
-            raise NotImplementedError(f"no adjoint registered for {self.name}")
-        return self._adjoint(psi)
+        return FockVector.unflatten(self.space, matvec(self.matrix.T, psi.flatten()))
 
 
-def _sector_is_zero(arr):
-    return not np.any(arr)
+# --------------------------------------------------------------------------
+# sparse building blocks
+# --------------------------------------------------------------------------
+
+def _combine(op, terms):
+    """Reduce terms with op (add or matmul): one CSR matrix when every
+    term is sparse, a LinearOperator chain otherwise."""
+    if all(sp.issparse(t) for t in terms):
+        return sp.csr_array(functools.reduce(op, terms))
+    return functools.reduce(op, [aslinearoperator(t) for t in terms])
+
+
+def _diag(values):
+    return sp.diags_array(values, format="csr")
+
+
+def _flat(space, per_sector):
+    """Concatenated flat vector of per-sector values broadcast to (S, B_n)."""
+    return np.concatenate([
+        np.broadcast_to(v, (space.n_source_tuples, m.shape[0])).ravel()
+        for v, m in zip(per_sector, space.msets)])
+
+
+def _free_values(model, space):
+    """Flat vector of the free values P^2 + Omega."""
+    return _flat(space, [space.free_values(model, n) for n in range(space.n_max + 1)])
+
+
+def _offsets(space):
+    return np.cumsum([0] + space.dims)
+
+
+def _cutoff_nodes(space, cutoff):
+    return np.nonzero(space.grid.cutoff_mask(cutoff))[0]
+
+
+def _node_blocks(count, per_node):
+    """Slices of consecutive node positions, at most _BLOCK_TRIPLETS
+    triplets each."""
+    step = max(1, _BLOCK_TRIPLETS // max(per_node, 1))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
+
+
+def _shifts(space, i, nodes, sign):
+    """(K, S) source-shift maps of source i, one row per node."""
+    rows = [space.source_shift(i, k, sign) for k in nodes]
+    return np.array(rows, dtype=np.int64).reshape(len(nodes), space.n_source_tuples)
+
+
+def _inserts(space, n, nodes):
+    """(K, B_n) insertion targets and counts into sector n+1, one row per node."""
+    maps = [space.insert_map(n, k) for k in nodes]
+    shape = (len(nodes), space.msets[n].shape[0])
+    return (np.array([t for t, _ in maps], dtype=np.int64).reshape(shape),
+            np.array([c for _, c in maps], dtype=float).reshape(shape))
+
+
+class _Streamed(LinearOperator):
+    """A kernel above the assembly budget.
+
+    Its triplet blocks are emitted again on every apply and never stored;
+    the transpose swaps rows and columns of the same blocks.
+    """
+
+    def __init__(self, shape, blocks, transposed=False):
+        super().__init__(np.float64, shape)
+        self._blocks = blocks
+        self._transposed = transposed
+
+    def _matmat(self, x):
+        cols_in = [np.ascontiguousarray(x[:, c]) for c in range(x.shape[1])]
+        out = np.zeros((x.shape[1], self.shape[0]))
+        for rows, cols, vals in self._blocks():
+            if self._transposed:
+                rows, cols = cols, rows
+            for acc, xc in zip(out, cols_in):
+                np.add.at(acc, rows, vals * xc[cols])
+        return out.T
+
+    def _matvec(self, x):
+        return self._matmat(np.reshape(x, (-1, 1)))[:, 0]
+
+    def _transpose(self):
+        return _Streamed(self.shape[::-1], self._blocks, not self._transposed)
+
+    _adjoint = _transpose
+
+
+def _kernel(space, key, make_blocks):
+    """A primitive kernel from its triplet blocks, cached on the space.
+
+    make_blocks() returns (nnz_bound, blocks): nnz_bound counts the
+    triplets of every block before the off-grid ones are dropped, and
+    decides, before anything is allocated, whether the kernel is
+    assembled into CSR or streamed.
+    """
+    cache = space._kernel_cache
+    if key not in cache:
+        nnz_bound, blocks = make_blocks()
+        n = space.total_dim
+        if nnz_bound * _BYTES_PER_TRIPLET > ASSEMBLY_BUDGET_BYTES:
+            cache[key] = _Streamed((n, n), blocks)
+        else:
+            index = np.int32 if max(n, nnz_bound) < 2**31 else np.int64
+            rows = np.empty(nnz_bound, dtype=index)
+            cols = np.empty(nnz_bound, dtype=index)
+            vals = np.empty(nnz_bound)
+            end = 0
+            for r, c, v in blocks():
+                rows[end:end + r.size], cols[end:end + r.size] = r, c
+                vals[end:end + r.size] = v
+                end += r.size
+            coo = sp.coo_array((vals[:end], (rows[:end], cols[:end])), shape=(n, n))
+            del rows, cols, vals
+            cache[key] = coo.tocsr()     # sums duplicate pairs
+    return cache[key]
+
+
+def _annihilation_kernel(model, space, cutoff):
+    return _kernel(space, ("a", MomentumGrid._model_key(model), cutoff),
+                   lambda: _annihilation_blocks(model, space, cutoff))
+
+
+def _offdiagonal_kernel(model, space, cutoff):
+    return _kernel(space, ("T", MomentumGrid._model_key(model), cutoff),
+                   lambda: _offdiagonal_blocks(model, space, cutoff))
+
+
+def _annihilation_blocks(model, space, cutoff):
+    """The annihilation kernel a in the flat orthonormal basis.
+
+    Sector n of a psi receives
+
+        sqrt(n+1) * sum_i sum_{|k|<cutoff} h^d vhat(k)
+                      * psi^(n+1)(P - e_i t(k), K union {k}),
+
+    where t(k) is the transfer displacement of node k; shifted source
+    tuples that leave the box are dropped.  In the flat basis each entry
+    is rescaled by sqrt(weight of row / weight of column).
+    """
+    grd = space.grid
+    vhat = grd.tables(model)[0]
+    nodes = _cutoff_nodes(space, cutoff)
+    off = _offsets(space)
+    n_src = space.n_source_tuples
+    half_hd = grd.h ** (grd.d / 2.0)     # h^d * sqrt(h^-d): weight ratio of n to n+1
+    smaps = [_shifts(space, i, nodes, -1) for i in range(space.M)]
+    tgts = [_inserts(space, n, nodes)[0] for n in range(space.n_max)]
+
+    def blocks():
+        for n in range(space.n_max):
+            b_out, b_in = space.msets[n].shape[0], space.msets[n + 1].shape[0]
+            for blk in _node_blocks(len(nodes), n_src * b_out):
+                tgt = tgts[n][blk]                                  # (K, b_out)
+                val = (np.sqrt(n + 1.0) * half_hd * vhat[nodes[blk]][:, None]
+                       * np.sqrt(space.mult[n][None, :] / space.mult[n + 1][tgt]))
+                for smap_all in smaps:
+                    smap = smap_all[blk]                            # (K, S)
+                    kk, s = np.nonzero(smap >= 0)
+                    rows = off[n] + s[:, None] * b_out + np.arange(b_out)
+                    cols = off[n + 1] + smap[kk, s][:, None] * b_in + tgt[kk]
+                    yield rows.ravel(), cols.ravel(), val[kk].ravel()
+
+    return space.M * len(nodes) * n_src * sum(m.shape[0] for m in space.msets[:-1]), blocks
+
+
+def _offdiagonal_blocks(model, space, cutoff):
+    """The off-diagonal contact kernel per unit coupling (times -g^2 in T).
+
+    Sums the source-exchange kernels (i != l, distinct sources trade the
+    integrated boson) and the boson-exchange kernels (the integrated
+    boson replaces an existing one), as grid sums with weight h^d and the
+    cutoff applied to every form-factor argument.  Kernels vanish on the
+    top truncated sector, matching the composition through sector n+1.
+    """
+    grd = space.grid
+    vhat, om = grd.tables(model)
+    nodes = _cutoff_nodes(space, cutoff)
+    hd = grd.h**grd.d
+    omega_sums = space.omega_sums(model)
+    off = _offsets(space)
+    n_src, M = space.n_source_tuples, space.M
+    s_minus = [_shifts(space, i, nodes, -1) for i in range(M)]
+    s_plus = [_shifts(space, i, nodes, +1) for i in range(M)]
+    inserts = [_inserts(space, n, nodes) for n in range(space.n_max - 1)]
+
+    def source_exchange(n):
+        # i != l, argument P + (e_i - e_l) t(k); the weights of row and
+        # column coincide, so flat and coefficient entries agree
+        b = space.msets[n].shape[0]
+        for blk in _node_blocks(len(nodes), n_src * b):
+            for ell in range(M):
+                s1 = s_minus[ell][blk]
+                for i in range(M):
+                    if i == ell:
+                        continue
+                    s2 = s_plus[i][blk]
+                    comp = np.where(s1 >= 0,
+                                    np.take_along_axis(s2, np.maximum(s1, 0), axis=1), -1)
+                    kk, s = np.nonzero(comp >= 0)
+                    k = nodes[blk][kk]
+                    val = (hd * vhat[k] ** 2)[:, None] / (
+                        space.psq[s1[kk, s]][:, None] + omega_sums[n][None, :]
+                        + om[k][:, None])
+                    rows = off[n] + s[:, None] * b + np.arange(b)
+                    cols = off[n] + comp[kk, s][:, None] * b + np.arange(b)
+                    yield rows.ravel(), cols.ravel(), val.ravel()
+
+    def boson_exchange(n):
+        # existing boson w out, integrated boson k in
+        b, b_less = space.msets[n].shape[0], space.msets[n - 1].shape[0]
+        tk, cnt = inserts[n - 1]                                    # (K, B_{n-1})
+        scale = np.sqrt(space.mult[n])
+        for s1 in s_minus:                                          # (K, S)
+            for blk in _node_blocks(len(nodes), len(nodes) * n_src * b_less):
+                ws, tw, cw = nodes[blk], tk[blk], cnt[blk]          # (W, B_{n-1})
+                for s2_all in s_plus:
+                    s2 = s2_all[blk]                                # (W, S)
+                    comp = np.where(s1[None] >= 0, s2[:, np.maximum(s1, 0)], -1)
+                    ww, kk, s = np.nonzero(comp >= 0)
+                    w, k = ws[ww], nodes[kk]
+                    denom = (space.psq[s1[kk, s]][:, None] + omega_sums[n - 1][None, :]
+                             + (om[w] + om[k])[:, None])
+                    val = ((hd * vhat[k] * vhat[w])[:, None] * cw[ww] / denom
+                           * scale[tw[ww]] / scale[tk[kk]])
+                    rows = off[n] + s[:, None] * b + tw[ww]
+                    cols = off[n] + comp[ww, kk, s][:, None] * b + tk[kk]
+                    yield rows.ravel(), cols.ravel(), val.ravel()
+
+    def blocks():
+        for n in range(space.n_max):        # kernels vanish on n = n_max
+            if M >= 2:
+                yield from source_exchange(n)
+            if n >= 1:
+                yield from boson_exchange(n)
+
+    return _exchange_bound(space, len(nodes)), blocks
+
+
+def _exchange_bound(space, k_count):
+    """Triplet count of the off-diagonal kernel's blocks for k_count nodes."""
+    M, n_src, b = space.M, space.n_source_tuples, [m.shape[0] for m in space.msets]
+    return sum(M * (M - 1) * k_count * n_src * b[n]
+               + (M * M * k_count**2 * n_src * b[n - 1] if n >= 1 else 0)
+               for n in range(space.n_max))
+
+
+def _through_next_sector(space, cutoff, factors):
+    """Product a X a.T of factors that passes through sector n+1.
+
+    Its pattern is that of the exchange kernels, so it is assembled only
+    when their triplets fit the assembly budget, and otherwise stays a
+    LinearOperator product.
+    """
+    bound = _exchange_bound(space, len(_cutoff_nodes(space, cutoff)))
+    if bound * _BYTES_PER_TRIPLET > ASSEMBLY_BUDGET_BYTES:
+        factors = [aslinearoperator(f) for f in factors]
+    return _combine(operator.matmul, factors)
 
 
 # --------------------------------------------------------------------------
 # diagonal multipliers
 # --------------------------------------------------------------------------
+
+def _diagonal_handle(space, factors, model, cutoff, name):
+    return OperatorHandle(_diag(_flat(space, factors)), Connectivity.DIAGONAL, True,
+                          model, space, cutoff, name, factors=factors)
+
 
 def free_multiplier(model, space, power):
     """Multiplication by (P^2 + sum_j omega(k_j))^power on every sector.
@@ -133,15 +454,7 @@ def free_multiplier(model, space, power):
                 f"free value 0 in sector n={n}; negative power {power} undefined"
             )
         factors.append(vals**power)
-
-    def apply(psi):
-        out = FockVector.zero(space)
-        for n in range(space.n_max + 1):
-            out.sectors[n] = factors[n] * psi.sectors[n]
-        return out
-
-    return OperatorHandle(apply, Connectivity.DIAGONAL, True, model, space, None,
-                          f"free_multiplier^{power}")
+    return _diagonal_handle(space, factors, model, None, f"free_multiplier^{power}")
 
 
 def number_multiplier(space, power):
@@ -149,142 +462,56 @@ def number_multiplier(space, power):
     if power < 0 and space.n_max >= 0:
         raise SingularInverse("negative powers of the number operator hit n = 0")
     scale = [float(n) ** power if (n or power) else 1.0 for n in range(space.n_max + 1)]
-
-    def apply(psi):
-        out = FockVector.zero(space)
-        for n in range(space.n_max + 1):
-            out.sectors[n] = scale[n] * psi.sectors[n]
-        return out
-
-    return OperatorHandle(apply, Connectivity.DIAGONAL, True, None, space, None,
-                          f"number_multiplier^{power}")
+    return _diagonal_handle(space, scale, None, None, f"number_multiplier^{power}")
 
 
 # --------------------------------------------------------------------------
 # annihilation / creation
 # --------------------------------------------------------------------------
 
-def _cutoff_nodes(space, cutoff):
-    return np.nonzero(space.grid.cutoff_mask(cutoff))[0]
-
-
-def apply_annihilation(model, space, cutoff, psi):
-    """One boson absorbed by a source.
-
-    Sector n of the output receives
-
-        sqrt(n+1) * sum_i sum_{|k|<cutoff} h^d vhat(k)
-                      * psi^(n+1)(P - e_i t(k), K union {k}),
-
-    where t(k) is the transfer displacement of node k; shifted source
-    tuples that leave the box are dropped.
-    """
-    grd = space.grid
-    vhat = grd.tables(model)[0]
-    nodes = _cutoff_nodes(space, cutoff)
-    hd = grd.h**grd.d
-    out = FockVector.zero(space)
-    for n_out in range(space.n_max):
-        n_in = n_out + 1
-        sec_in = psi.sectors[n_in]
-        if _sector_is_zero(sec_in):
-            continue
-        pref = np.sqrt(n_out + 1.0) * hd
-        acc = out.sectors[n_out]
-        for k in nodes:
-            tgt, _ = space.insert_map(n_out, k)
-            for i in range(space.M):
-                smap = space.source_shift(i, k, -1)
-                valid = np.nonzero(smap >= 0)[0]
-                if valid.size == 0:
-                    continue
-                acc[valid, :] += (pref * vhat[k]) * sec_in[smap[valid][:, None], tgt[None, :]]
-    return out
-
-
-def apply_creation(model, space, cutoff, psi):
-    """Exact discrete adjoint of apply_annihilation.
-
-    Built by transposing the index pairing of the annihilation sum, not
-    by independent quadrature; the adjoint identity holds to rounding.
-    """
-    grd = space.grid
-    vhat = grd.tables(model)[0]
-    nodes = _cutoff_nodes(space, cutoff)
-    out = FockVector.zero(space)
-    for n_in in range(space.n_max):
-        n_out = n_in + 1
-        sec_in = psi.sectors[n_in]
-        if _sector_is_zero(sec_in):
-            continue
-        pref = 1.0 / np.sqrt(n_in + 1.0)
-        acc = out.sectors[n_out]
-        for k in nodes:
-            tgt, cnt = space.insert_map(n_in, k)
-            coef = pref * vhat[k] * cnt
-            for i in range(space.M):
-                smap = space.source_shift(i, k, +1)
-                valid = np.nonzero(smap >= 0)[0]
-                if valid.size == 0:
-                    continue
-                acc[valid[:, None], tgt[None, :]] += coef[None, :] * sec_in[smap[valid], :]
-    return out
-
-
 def annihilation(model, space, cutoff=None):
-    return OperatorHandle(
-        lambda psi: apply_annihilation(model, space, cutoff, psi),
-        Connectivity.LOWER, False, model, space, cutoff, "annihilation",
-        _adjoint=lambda psi: apply_creation(model, space, cutoff, psi),
-    )
+    """One boson absorbed by a source; see _annihilation_kernel."""
+    return OperatorHandle(_annihilation_kernel(model, space, cutoff), Connectivity.LOWER,
+                          False, model, space, cutoff, "annihilation")
 
 
 def creation(model, space, cutoff=None):
-    return OperatorHandle(
-        lambda psi: apply_creation(model, space, cutoff, psi),
-        Connectivity.RAISE, False, model, space, cutoff, "creation",
-        _adjoint=lambda psi: apply_annihilation(model, space, cutoff, psi),
-    )
+    """Exact discrete adjoint of annihilation: the transpose of its matrix."""
+    return OperatorHandle(_annihilation_kernel(model, space, cutoff).T, Connectivity.RAISE,
+                          False, model, space, cutoff, "creation")
 
 
-def _invert_free_on_bosonic(model, space, psi, drop_vacuum=True):
-    """Apply (P^2 + Omega)^(-1) on the sectors with at least one boson.
-
-    The free value is >= 1 there.  The zero-boson sector is zeroed; the
-    callers only ever need the inverse on raise-type images, which have
-    no zero-boson component.
-    """
-    out = FockVector.zero(space)
-    for n in range(1, space.n_max + 1):
-        out.sectors[n] = psi.sectors[n] / space.free_values(model, n)
-    if not drop_vacuum and space.n_max >= 0:
-        out.sectors[0] = psi.sectors[0] / space.free_values(model, 0)
-    return out
+def apply_annihilation(model, space, cutoff, psi):
+    return annihilation(model, space, cutoff).apply(psi)
 
 
-def apply_boundary_map(model, space, cutoff, psi):
+def apply_creation(model, space, cutoff, psi):
+    return creation(model, space, cutoff).apply(psi)
+
+
+def _boundary_matrix(model, space, cutoff):
+    """B = -g (P^2 + Omega)^(-1) a*: a row scaling of a.T, which has no
+    row in the zero-boson sector."""
+    return _combine(operator.matmul, [_diag(-model.g / _free_values(model, space)),
+                                      _annihilation_kernel(model, space, cutoff).T])
+
+
+def boundary_map(model, space, cutoff=None):
     """The singular-part map: -g * (free inverse) o creation.
 
     Raises boson number by one; the output has no zero-boson component.
     """
-    created = apply_creation(model, space, cutoff, psi)
-    assert _sector_is_zero(created.sectors[0])
-    return -model.g * _invert_free_on_bosonic(model, space, created)
+    return OperatorHandle(_boundary_matrix(model, space, cutoff), Connectivity.RAISE,
+                          False, model, space, cutoff, "boundary_map")
+
+
+def apply_boundary_map(model, space, cutoff, psi):
+    return boundary_map(model, space, cutoff).apply(psi)
 
 
 def apply_boundary_map_adjoint(model, space, cutoff, psi):
     """Adjoint of the singular-part map: -g * annihilation o (free inverse)."""
-    return -model.g * apply_annihilation(
-        model, space, cutoff, _invert_free_on_bosonic(model, space, psi)
-    )
-
-
-def boundary_map(model, space, cutoff=None):
-    return OperatorHandle(
-        lambda psi: apply_boundary_map(model, space, cutoff, psi),
-        Connectivity.RAISE, False, model, space, cutoff, "boundary_map",
-        _adjoint=lambda psi: apply_boundary_map_adjoint(model, space, cutoff, psi),
-    )
+    return boundary_map(model, space, cutoff).adjoint_apply(psi)
 
 
 # --------------------------------------------------------------------------
@@ -383,19 +610,17 @@ def contact_diagonal(model, space, mode=DiagonalMode.GRID_CONSISTENT,
         hd = grd.h**grd.d
         e_grid = counterterm_grid(model, space, cutoff)
         omega_sums = space.omega_sums(model)
+        smaps = [_shifts(space, ell, nodes, -1) for ell in range(space.M)]
         for n in range(space.n_max + 1):
             base = np.zeros((space.n_source_tuples, space.msets[n].shape[0]))
             if n < space.n_max:
-                for k in nodes:
-                    wk = hd * vhat[k] ** 2
-                    for ell in range(space.M):
-                        smap = space.source_shift(ell, k, -1)
-                        valid = np.nonzero(smap >= 0)[0]
-                        if valid.size == 0:
-                            continue
-                        denom = (space.psq[smap[valid]][:, None]
-                                 + omega_sums[n][None, :] + om[k])
-                        base[valid, :] += wk / denom
+                for smap_all in smaps:
+                    for blk in _node_blocks(len(nodes), base.size):
+                        smap, ks = smap_all[blk], nodes[blk]        # (K, S)
+                        denom = (space.psq[smap][:, :, None]
+                                 + omega_sums[n][None, None, :] + om[ks][:, None, None])
+                        wk = (hd * vhat[ks] ** 2)[:, None, None]
+                        base += np.where((smap >= 0)[:, :, None], wk / denom, 0.0).sum(axis=0)
             factors.append(-model.g**2 * base + e_grid)
     else:
         if not model.is_renormalisable:
@@ -412,85 +637,19 @@ def contact_diagonal(model, space, mode=DiagonalMode.GRID_CONSISTENT,
                     pl = np.broadcast_to(p_norm[:, ell][:, None], env.shape)
                     base += cache.get_many(pl, env)
             factors.append(-model.g**2 * base)
-
-    def apply(psi):
-        out = FockVector.zero(space)
-        for n in range(space.n_max + 1):
-            out.sectors[n] = factors[n] * psi.sectors[n]
-        return out
-
-    return OperatorHandle(apply, Connectivity.DIAGONAL, True, model, space, cutoff,
-                          f"contact_diagonal[{mode.value}]")
-
-
-def apply_contact_offdiagonal(model, space, cutoff, psi):
-    """Off-diagonal part of the contact term (boson-number preserving).
-
-    Sums the source-exchange kernels (i != l, distinct sources trade the
-    integrated boson) and the boson-exchange kernels (the integrated
-    boson replaces an existing one), as grid sums with weight h^d and the
-    cutoff applied to every form-factor argument.  Kernels vanish on the
-    top truncated sector, matching the composition through sector n+1.
-    """
-    grd = space.grid
-    vhat, om = grd.tables(model)
-    nodes = _cutoff_nodes(space, cutoff)
-    hd = grd.h**grd.d
-    g2 = model.g**2
-    omega_sums = space.omega_sums(model)
-    out = FockVector.zero(space)
-
-    for n in range(space.n_max):        # kernels vanish on n = n_max
-        sec = psi.sectors[n]
-        if _sector_is_zero(sec):
-            continue
-        acc = out.sectors[n]
-
-        # source-exchange kernels: i != l, argument P + (e_i - e_l) t(k)
-        if space.M >= 2:
-            for ell in range(space.M):
-                for i in range(space.M):
-                    if i == ell:
-                        continue
-                    for k in nodes:
-                        s1 = space.source_shift(ell, k, -1)
-                        s2 = space.source_shift(i, k, +1)
-                        comp = np.where(s1 >= 0, s2[np.maximum(s1, 0)], -1)
-                        valid = np.nonzero((s1 >= 0) & (comp >= 0))[0]
-                        if valid.size == 0:
-                            continue
-                        denom = (space.psq[s1[valid]][:, None]
-                                 + omega_sums[n][None, :] + om[k])
-                        acc[valid, :] += (-g2 * hd * vhat[k] ** 2 / denom) * sec[comp[valid], :]
-
-        # boson-exchange kernels: existing boson w out, integrated boson k in
-        if n >= 1:
-            for ell in range(space.M):
-                for i in range(space.M):
-                    for w in nodes:
-                        tw, cw = space.insert_map(n - 1, w)
-                        for k in nodes:
-                            tk, _ = space.insert_map(n - 1, k)
-                            s1 = space.source_shift(ell, k, -1)
-                            s2 = space.source_shift(i, w, +1)
-                            comp = np.where(s1 >= 0, s2[np.maximum(s1, 0)], -1)
-                            valid = np.nonzero((s1 >= 0) & (comp >= 0))[0]
-                            if valid.size == 0:
-                                continue
-                            denom = (space.psq[s1[valid]][:, None]
-                                     + omega_sums[n - 1][None, :] + om[w] + om[k])
-                            block = sec[comp[valid][:, None], tk[None, :]]
-                            acc[valid[:, None], tw[None, :]] += (
-                                (-g2 * hd * vhat[k] * vhat[w] * cw[None, :]) * block / denom
-                            )
-    return out
+    return _diagonal_handle(space, factors, model, cutoff,
+                            f"contact_diagonal[{mode.value}]")
 
 
 def contact_offdiagonal(model, space, cutoff=None):
-    return OperatorHandle(
-        lambda psi: apply_contact_offdiagonal(model, space, cutoff, psi),
-        Connectivity.DIAGONAL, True, model, space, cutoff, "contact_offdiagonal",
-    )
+    """Off-diagonal part of the contact term; see _offdiagonal_kernel."""
+    return OperatorHandle(-model.g**2 * _offdiagonal_kernel(model, space, cutoff),
+                          Connectivity.DIAGONAL, True, model, space, cutoff,
+                          "contact_offdiagonal")
+
+
+def apply_contact_offdiagonal(model, space, cutoff, psi):
+    return contact_offdiagonal(model, space, cutoff).apply(psi)
 
 
 def contact_term(model, space, mode=DiagonalMode.GRID_CONSISTENT,
@@ -501,39 +660,35 @@ def contact_term(model, space, mode=DiagonalMode.GRID_CONSISTENT,
     renormalizable models use the diagonal + off-diagonal kernel split.
     """
     if not model.is_renormalisable:
-        def apply(psi):
-            return model.g * apply_annihilation(
-                model, space, cutoff, apply_boundary_map(model, space, cutoff, psi)
-            )
-        return OperatorHandle(apply, Connectivity.DIAGONAL, True, model, space,
-                              cutoff, "contact_term[composed]")
-    diag = contact_diagonal(model, space, mode, cutoff, cache)
-    offd = contact_offdiagonal(model, space, cutoff)
-
-    def apply(psi):
-        return diag.apply(psi) + offd.apply(psi)
-
-    return OperatorHandle(apply, Connectivity.DIAGONAL, True, model, space, cutoff,
-                          f"contact_term[{mode.value}]")
+        mat = _through_next_sector(space, cutoff, [
+            model.g * _annihilation_kernel(model, space, cutoff),
+            _boundary_matrix(model, space, cutoff)])
+        name = "contact_term[composed]"
+    else:
+        mat = _combine(operator.add, [
+            contact_diagonal(model, space, mode, cutoff, cache).matrix,
+            contact_offdiagonal(model, space, cutoff).matrix])
+        name = f"contact_term[{mode.value}]"
+    return OperatorHandle(mat, Connectivity.DIAGONAL, True, model, space, cutoff, name)
 
 
 # --------------------------------------------------------------------------
 # Hamiltonians
 # --------------------------------------------------------------------------
 
+def _plus_ladder(sector_part, model, space, cutoff):
+    """sector_part + g (a + a.T) for a boson-number preserving sector_part.
+
+    The three patterns are disjoint, so scipy sizes each sum exactly.
+    """
+    ga = model.g * _annihilation_kernel(model, space, cutoff)
+    return _combine(operator.add, [sector_part, ga, ga.T])
+
+
 def cutoff_hamiltonian(model, space, cutoff=None):
     """L + g (annihilation + creation) with the cutoff form factor."""
-    free = free_multiplier(model, space, 1.0)
-
-    def apply(psi):
-        out = free.apply(psi)
-        a = apply_annihilation(model, space, cutoff, psi)
-        c = apply_creation(model, space, cutoff, psi)
-        for n in range(space.n_max + 1):
-            out.sectors[n] += model.g * (a.sectors[n] + c.sectors[n])
-        return out
-
-    return OperatorHandle(apply, Connectivity.TRIDIAGONAL, True, model, space,
+    mat = _plus_ladder(_diag(_free_values(model, space)), model, space, cutoff)
+    return OperatorHandle(mat, Connectivity.TRIDIAGONAL, True, model, space,
                           cutoff, "cutoff_hamiltonian")
 
 
@@ -541,22 +696,34 @@ def hamiltonian(model, space, mode=DiagonalMode.GRID_CONSISTENT,
                 cutoff=None, cache=None):
     """The interior-boundary-condition Hamiltonian on the truncated space:
 
-        H = (1 - B)^adj L (1 - B) + T,
+        H = (1 - B)^T L (1 - B) + T = L + g (a + a.T) + B^T L B + T,
 
-    with B the boundary map and T the contact term.  The adjoint is the
-    exact discrete adjoint, so hermiticity is structural.
+    with B the boundary map and T the contact term; the cross terms are
+    -L B = g a.T and its transpose.  The adjoint is the transpose, so
+    hermiticity is structural.
     """
-    free = free_multiplier(model, space, 1.0)
-    contact = contact_term(model, space, mode, cutoff, cache)
-
-    def apply(psi):
-        u = psi - apply_boundary_map(model, space, cutoff, psi)
-        w = free.apply(u)
-        out = w - apply_boundary_map_adjoint(model, space, cutoff, w)
-        return out + contact.apply(psi)
-
-    return OperatorHandle(apply, Connectivity.TRIDIAGONAL, True, model, space,
+    free = _free_values(model, space)
+    a = _annihilation_kernel(model, space, cutoff)
+    # B^T L B = g^2 a L^(-1) a.T, from B = -g L^(-1) a.T
+    blb = _through_next_sector(space, cutoff, [a, _diag(model.g**2 / free), a.T])
+    contact = contact_term(model, space, mode, cutoff, cache).matrix
+    mat = _plus_ladder(_combine(operator.add, [_diag(free), blb, contact]),
+                       model, space, cutoff)
+    return OperatorHandle(mat, Connectivity.TRIDIAGONAL, True, model, space,
                           cutoff, f"hamiltonian[{mode.value}]")
+
+
+def shifted(handle, shift, name):
+    """handle + shift * Id, as a handle on the same space."""
+    mat = handle.matrix
+    if sp.issparse(mat):
+        # in place on a copy: a Hamiltonian stores its whole diagonal, so
+        # the pattern and the size stay those of the matrix
+        mat = mat.copy()
+        mat.setdiag(mat.diagonal() + shift)
+    else:
+        mat = mat + shift * aslinearoperator(sp.eye_array(mat.shape[0]))
+    return dataclasses.replace(handle, matrix=mat, factors=None, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -564,24 +731,17 @@ def hamiltonian(model, space, mode=DiagonalMode.GRID_CONSISTENT,
 # --------------------------------------------------------------------------
 
 def assemble_dense(handle, cap=DENSE_CAP):
-    """Column-by-column dense matrix in the orthonormalized basis.
+    """Dense real matrix in the orthonormalized basis.
 
     Basis vector j is the coefficient unit vector rescaled by the inverse
-    square-root weight, so the operator adjoint is the conjugate
-    transpose of the returned matrix.
+    square-root weight, so the operator adjoint is the transpose of the
+    returned matrix.
     """
-    space = handle.space
-    dim = space.total_dim
+    dim = handle.space.total_dim
     if dim > cap:
         raise DimensionCap(f"dense dimension {dim} exceeds cap {cap}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    flat = np.zeros(dim, dtype=complex)
-    for j in range(dim):
-        flat[j] = 1.0
-        basis = FockVector.unflatten(space, flat)
-        mat[:, j] = handle.apply(basis).flatten()
-        flat[j] = 0.0
-    return mat
+    mat = handle.matrix
+    return mat.toarray() if sp.issparse(mat) else mat @ np.eye(dim)
 
 
 def dense_to_csv(mat, path):

@@ -33,9 +33,7 @@ def test_criterion_1_exactness_suite():
     check(1, "a* is the exact adjoint of a", d_adj <= 1e-12, f"defect {d_adj:.2e}")
 
     bmat = ops.assemble_dense(ops.boundary_map(m, space))
-    linv = ops.assemble_dense(ops.OperatorHandle(
-        lambda v: ops._invert_free_on_bosonic(m, space, v),
-        ops.Connectivity.DIAGONAL, True, m, space, None, "linv"))
+    linv = ops.assemble_dense(ops.free_multiplier(m, space, -1.0))
     d_fact = np.abs(bmat + m.g * linv @ astar).max()
     check(1, "boundary map factorization", d_fact <= 1e-12, f"defect {d_fact:.2e}")
 
@@ -171,9 +169,8 @@ def test_criterion_6_scaling_exponents():
 
     halfinv = ops.free_multiplier(m, space, -0.5)
     a_half = ops.OperatorHandle(
-        lambda v: ops.apply_annihilation(m, space, None, halfinv.apply(v)),
-        ops.Connectivity.LOWER, False, m, space, None, "a_free_halfinv",
-        _adjoint=lambda v: halfinv.apply(ops.apply_creation(m, space, None, v)))
+        ops.annihilation(m, space).matrix @ halfinv.matrix,
+        ops.Connectivity.LOWER, False, m, space, None, "a_free_halfinv")
     a_norms = [analysis.sector_norm_estimate(a_half, n) for n in ns]
     a_exp = analysis.fit_growth_exponent(ns, a_norms)
     check(6, "annihilation L^-1/2 sector norms grow with exponent <= (2+D)/4 + 0.15",

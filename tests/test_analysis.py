@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ibcfock import analysis, model, ops
 from ibcfock.grid import FockSpace, FockVector, GridSpec, build_grid
@@ -193,8 +194,9 @@ class TestRegularityScan:
 class TestSectorNorms:
     def test_identity(self, small_setup):
         m, space = small_setup
-        ident = ops.OperatorHandle(lambda v: v.copy(), ops.Connectivity.DIAGONAL,
-                                   True, m, space, None, "identity")
+        ident = ops.OperatorHandle(sp.eye_array(space.total_dim, format="csr"),
+                                   ops.Connectivity.DIAGONAL, True, m, space, None,
+                                   "identity")
         assert analysis.sector_norm_estimate(ident, 1) == pytest.approx(1.0)
 
     def test_diagonal_max(self, small_setup):
@@ -231,6 +233,25 @@ class TestGroundEnergy:
         dense_vals = analysis.ground_energy(m, space, k=2, method="dense")
         iter_vals = analysis.ground_energy(m, space, k=2, method="iterative", tol=1e-10)
         np.testing.assert_allclose(iter_vals, dense_vals, rtol=1e-6)
+
+    def test_iterative_matches_dense_two_sources(self):
+        m = model.delta2d(g=0.9, M=2)
+        space = FockSpace(build_grid(GridSpec(2, 2, 1.0)), 2, 2)
+        dense_vals = analysis.ground_energy(m, space, k=3, method="dense")
+        iter_vals = analysis.ground_energy(m, space, k=3, method="iterative", tol=1e-10)
+        np.testing.assert_allclose(iter_vals, dense_vals, rtol=1e-8)
+
+    def test_iterative_rejects_large_true_residual(self, small_setup, monkeypatch):
+        m, space = small_setup
+
+        def bad_eigsh(mat, k, **kwargs):
+            vecs = np.zeros((mat.shape[0], k))
+            vecs[0] = 1.0
+            return np.full(k, -1.0), vecs      # not an eigenpair
+
+        monkeypatch.setattr(analysis, "eigsh", bad_eigsh)
+        with pytest.raises(analysis.NoConvergence):
+            analysis.ground_energy(m, space, k=1, method="iterative")
 
     def test_bounded_below_along_refinement(self):
         m = model.delta2d(g=0.5)
@@ -270,9 +291,8 @@ class TestScalingUnderRefinement:
         space = FockSpace(build_grid(GridSpec(3, 4, 2.0)), 1, 2)
         halfinv = ops.free_multiplier(m, space, -0.5)
         a_half = ops.OperatorHandle(
-            lambda v: ops.apply_annihilation(m, space, None, halfinv.apply(v)),
-            ops.Connectivity.LOWER, False, m, space, None, "a_half",
-            _adjoint=lambda v: halfinv.apply(ops.apply_creation(m, space, None, v)))
+            ops.annihilation(m, space).matrix @ halfinv.matrix,
+            ops.Connectivity.LOWER, False, m, space, None, "a_half")
         norms = [analysis.sector_norm_estimate(a_half, n) for n in (1, 2)]
         assert analysis.fit_growth_exponent([1, 2], norms) <= 0.40
 

@@ -94,6 +94,40 @@ class TestConfigErrors:
         assert cli.main(["validate", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "tol", "abc"),
+    ("run", "probe_width", "wide"),
+    ("run", "lambdas", "1 x"),
+    ("run", "etas", "0.3 y"),
+    ("run", "ladder", "4 8 z"),
+    ("run", "probes", "three"),
+    ("run", "eigenvalues", "2.5"),
+    ("run", "probe_seed", "seven"),
+    ("run", "cauchy_tol", "small"),
+    ("run", "growth_threshold", "five"),
+    ("run", "points_per_unit", "one"),
+    ("run", "thetas", "2 x"),
+    ("run", "p_values", "1, y"),
+    ("grid", "points_per_axis", "four"),
+    ("grid", "k_max", "big"),
+    ("grid", "n_max", "two"),
+    ("model", "g", "strong"),
+    ("model", "m", "1.5"),
+])
+def test_malformed_number_is_config_error(tmp_path, capsys, section, key, value):
+    sections = {
+        "model": {"kind": "delta2d", "g": 0.8, "m": 1},
+        "grid": {"points_per_axis": 2, "k_max": 1.5, "n_max": 1},
+        "run": {"tol": "1e-8"},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    sections[section][key] = value
+    cfg = write_config(tmp_path, **sections)
+    assert cli.main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 class TestIdentityCheck:
     def test_small_config_passes(self, small_delta_cfg, capsys):
         assert cli.main(["identity-check", "--config", small_delta_cfg]) == 0

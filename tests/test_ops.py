@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ibcfock import model, ops
 from ibcfock.grid import FockSpace, FockVector, GridSpec, SectorIndex, build_grid
@@ -143,6 +144,14 @@ class TestLadderOperators:
         astar = dense(ops.creation(m, space))
         assert np.abs(astar - a.conj().T).max() < 1e-14
 
+    def test_creation_is_the_transpose_of_annihilation(self, delta_setup):
+        m, space = delta_setup
+        a = ops.annihilation(m, space).matrix
+        assert sp.issparse(a) and a.format == "csr"
+        assert a.dtype == np.float64 and a.indices.dtype == np.int32
+        astar = dense(ops.creation(m, space))
+        assert np.abs(astar - dense(ops.annihilation(m, space)).T).max() == 0.0
+
     def test_cutoff_prunes_nodes(self, delta_setup):
         m, space = delta_setup
         psi = FockVector.random(space, 15)
@@ -187,10 +196,14 @@ class TestBoundaryMap:
         m, space = micro_setup
         b = dense(ops.boundary_map(m, space))
         astar = dense(ops.creation(m, space))
-        linv = dense(ops.OperatorHandle(
-            lambda v: ops._invert_free_on_bosonic(m, space, v),
-            ops.Connectivity.DIAGONAL, True, m, space, None, "linv"))
+        linv = dense(ops.free_multiplier(m, space, -1.0))
         assert np.abs(b + m.g * linv @ astar).max() < 1e-12
+
+    def test_no_rows_in_vacuum_sector(self, delta_setup):
+        m, space = delta_setup
+        b = ops.boundary_map(m, space).matrix.tocsr()
+        assert b.indptr[space.dims[0]] == 0
+        assert b.nnz > 0
 
     def test_adjoint_is_exact(self, delta_setup):
         m, space = delta_setup
@@ -317,6 +330,37 @@ class TestContactTerm:
                 assert out.sectors[n][s, b] == pytest.approx(acc, abs=1e-12)
 
 
+class TestStreamingAboveBudget:
+    """Kernels above the assembly budget stream their node blocks per apply."""
+
+    @pytest.mark.parametrize("m,spec", [
+        (model.delta2d(g=0.9, M=2), GridSpec(2, 2, 1.0)),
+        (model.froehlich(g=0.6, M=2), GridSpec(3, 2, 2.0)),   # composed contact term
+    ])
+    def test_streamed_matches_assembled(self, m, spec, monkeypatch):
+        M, n_max = 2, 2
+        assembled = FockSpace(build_grid(spec), M, n_max)
+        streamed = FockSpace(build_grid(spec), M, n_max)
+        builders = [ops.annihilation, ops.creation, ops.boundary_map, ops.contact_term,
+                    ops.cutoff_hamiltonian, ops.hamiltonian,
+                    lambda m, s: ops.shifted(ops.cutoff_hamiltonian(m, s), 0.5, "reg")]
+        if m.is_renormalisable:
+            builders.append(ops.contact_offdiagonal)
+        want = [build(m, assembled) for build in builders]
+        monkeypatch.setattr(ops, "ASSEMBLY_BUDGET_BYTES", 0)
+        got = [build(m, streamed) for build in builders]
+        assert not any(sp.issparse(h.matrix) for h in got)
+        v = FockVector.random(assembled, 51)
+        w = FockVector(streamed, [s.copy() for s in v.sectors])
+        for ref, h in zip(want, got):
+            diff = ref.apply(v).flatten() - h.apply(w).flatten()
+            assert np.linalg.norm(diff) <= 1e-13 * np.linalg.norm(ref.apply(v).flatten())
+            adiff = ref.adjoint_apply(v).flatten() - h.adjoint_apply(w).flatten()
+            assert np.linalg.norm(adiff) <= 1e-13 * np.linalg.norm(
+                ref.adjoint_apply(v).flatten())
+        np.testing.assert_allclose(dense(got[-1]), dense(want[-1]), rtol=0, atol=1e-13)
+
+
 class TestContactDiagonalContinuum:
     def test_requires_renormalisable(self, froehlich_setup):
         m, space = froehlich_setup
@@ -394,6 +438,14 @@ class TestHamiltonians:
         e = ops.counterterm_grid(m, space, lam)
         assert np.abs(hd - hl - e * np.eye(space.total_dim)).max() < 1e-12
 
+    def test_shifted_cutoff_hamiltonian_is_the_hamiltonian(self, micro_setup):
+        m, space = micro_setup
+        lam = 1.0
+        e = ops.counterterm_grid(m, space, lam)
+        reg = ops.shifted(ops.cutoff_hamiltonian(m, space, cutoff=lam), e, "reg")
+        hd = dense(ops.hamiltonian(m, space, cutoff=lam))
+        assert np.abs(dense(reg) - hd).max() < 1e-12
+
     def test_hermiticity_both_modes(self, micro_setup):
         m, space = micro_setup
         for mode in (ops.DiagonalMode.GRID_CONSISTENT, ops.DiagonalMode.CONTINUUM):
@@ -418,8 +470,9 @@ class TestHamiltonians:
 class TestDenseAssembly:
     def test_identity_handle(self, micro_setup):
         m, space = micro_setup
-        ident = ops.OperatorHandle(lambda v: v.copy(), ops.Connectivity.DIAGONAL,
-                                   True, m, space, None, "identity")
+        ident = ops.OperatorHandle(sp.eye_array(space.total_dim, format="csr"),
+                                   ops.Connectivity.DIAGONAL, True, m, space, None,
+                                   "identity")
         np.testing.assert_allclose(dense(ident), np.eye(space.total_dim), atol=1e-15)
 
     def test_free_handle_is_diagonal(self, micro_setup):
