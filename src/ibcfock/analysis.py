@@ -87,11 +87,7 @@ def resolvent_solve(op, z, psi, tol=1e-8, maxiter=2000):
     A = LinearOperator((n, n), matvec=matvec, dtype=complex)
     M = None
     if op.model is not None:
-        diag = np.concatenate([
-            (space.free_values(op.model, k)
-             * np.ones((space.n_source_tuples, 1))).ravel()
-            for k in range(space.n_max + 1)
-        ]) + z
+        diag = ops.flat_free_values(op.model, space) + z
         M = LinearOperator((n, n), matvec=lambda x: x / diag, dtype=complex)
 
     iters = 0
@@ -223,8 +219,7 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
         e_grid.append(e)
         e_cont.append(model_mod.self_energy(
             model, lam if lam is not None else _grid_radius(space.grid)))
-        h_reg = ops.shifted(ops.cutoff_hamiltonian(model, space, lam), e,
-                            "regularized_cutoff")
+        h_reg = ops.shifted(ops.cutoff_hamiltonian(model, space, lam), e)
         errs, ress = _cutoff_errors(h_reg, probes, refs, tol, threads)
         del h_reg
         rows.append(errs)

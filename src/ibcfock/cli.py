@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, analysis, model as model_mod, ops, quad
-from .grid import FockSpace, GridSpec, build_grid
+from .grid import FockSpace, GridSpec, SpaceTooLarge, build_grid
 
 COMMANDS = ("validate", "self-energy", "flow", "scan", "bounds", "spectrum",
             "identity-check")
@@ -86,6 +86,20 @@ def _floats(text, where="list"):
         return [float(x) for x in text.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"{where} = '{text}' is not a list of numbers") from None
+
+
+def _threads(flag):
+    """Worker thread count from the --threads flag, else IBC_NUM_THREADS,
+    else 1; a value that is not an integer >= 1 is a ConfigError."""
+    where, text = (("--threads", flag) if flag is not None else
+                   ("IBC_NUM_THREADS", os.environ.get("IBC_NUM_THREADS", "1")))
+    try:
+        threads = int(text)
+    except ValueError:
+        raise ConfigError(f"{where} = '{text}' is not an integer") from None
+    if threads < 1:
+        raise ConfigError(f"{where} = {threads} must be >= 1")
+    return threads
 
 
 def _parse_model(section):
@@ -172,16 +186,14 @@ def load_config(path, overrides=None):
 
     ov_seed = overrides.get("seed")
     seed = int(ov_seed if ov_seed is not None else run.get("probe_seed", 0))
-    threads = overrides.get("threads")
-    if threads is None:
-        threads = int(os.environ.get("IBC_NUM_THREADS", "1"))
+    threads = _threads(overrides.get("threads"))
     if overrides.get("out"):
         out_dir = overrides["out"]
 
     raw = {s: dict(cp[s]) for s in cp.sections()}
     return RunConfig(model=mdl, grid=grid_spec, n_max=n_max, run=run,
                      out_dir=out_dir, formats=formats, seed=seed,
-                     threads=int(threads), mode=mode, raw=raw)
+                     threads=threads, mode=mode, raw=raw)
 
 
 def _write(cfg, name, json_text=None, csv_text=None):
@@ -428,7 +440,7 @@ def main(argv=None):
 
     try:
         return _DISPATCH[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, SpaceTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (analysis.NoConvergence, quad.QuadratureFailure) as exc:

@@ -14,20 +14,23 @@ node itself.  Momentum transfer between a source and a boson therefore
 uses the boson's *transfer displacement*: its coordinate rounded toward
 zero onto the displacement lattice h*Z^d.  Source shifts by transfer
 displacements have exact index arithmetic; a shifted index that leaves
-the box is reported as OFF_GRID and contributes zero to kernel sums.
+the box is marked -1 in FockSpace.source_shift and contributes zero to
+kernel sums.
 
 An n-boson sector is indexed by a source tuple (one node id per source)
 and a canonically sorted multiset of node ids; the multiplicity of the
 multiset (the number of distinct orderings) enters the inner product as
 a weight, together with the cell volume h^(d(M+n)).
+
+A FockSpace whose index tables would not fit in SPACE_BUDGET_BYTES, a
+fixed share of physical memory, is refused with SpaceTooLarge before
+any table is allocated.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import struct
+import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -35,40 +38,26 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 __all__ = [
-    "OFF_GRID",
     "GridSpec",
     "MomentumGrid",
     "build_grid",
-    "SectorIndex",
     "sector_dimension",
-    "delete_boson",
-    "insert_boson",
-    "shift_source",
+    "SpaceTooLarge",
     "FockSpace",
     "FockVector",
 ]
 
 _INDEX_CAP = 2**62
 
-
-class _OffGrid:
-    """Marker for a shifted index that left the momentum box."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OFF_GRID"
-
-    def __bool__(self):
-        return False
-
-
-OFF_GRID = _OffGrid()
+# A FockSpace is built only if its index tables fit in this share of
+# physical memory.
+SPACE_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 4
+# Peak bytes while building the tables, measured with tracemalloc: per
+# boson multiset, its tuple, list slot, dict entry and row index, plus
+# 24 per boson for the tuple slot and the int64 array row; per source
+# tuple, 24 per source and 16 for psq and the flat id.
+_BYTES_PER_MSET = 128
+_BYTES_PER_BOSON = 24
 
 
 @dataclass(frozen=True)
@@ -178,29 +167,9 @@ def _multiplicity(bosons):
     return mult
 
 
-@dataclass(frozen=True)
-class SectorIndex:
-    """Canonical index of one basis coefficient in an n-boson sector."""
-
-    sources: tuple
-    bosons: tuple
-
-    @classmethod
-    def make(cls, sources, bosons):
-        return cls(tuple(int(s) for s in sources),
-                   tuple(sorted(int(b) for b in bosons)))
-
-    def __post_init__(self):
-        if any(self.bosons[i] > self.bosons[i + 1] for i in range(len(self.bosons) - 1)):
-            raise ValueError("boson multiset must be sorted; use SectorIndex.make")
-
-    @property
-    def n(self):
-        return len(self.bosons)
-
-    @property
-    def multiplicity(self):
-        return _multiplicity(self.bosons)
+class SpaceTooLarge(ValueError):
+    """A FockSpace whose index tables exceed SPACE_BUDGET_BYTES or whose
+    sector dimension exceeds the index range."""
 
 
 def sector_dimension(grid, M, n):
@@ -214,35 +183,21 @@ def sector_dimension(grid, M, n):
     return dim
 
 
-def delete_boson(idx: SectorIndex, j):
-    """Remove the j-th entry of the boson tuple; returns (index, node id)."""
-    if not 0 <= j < idx.n:
-        raise IndexError("boson position out of range")
-    removed = idx.bosons[j]
-    rest = idx.bosons[:j] + idx.bosons[j + 1:]
-    return SectorIndex(idx.sources, rest), removed
-
-
-def insert_boson(idx: SectorIndex, node):
-    """Insert a node into the boson multiset, keeping the canonical order."""
-    return SectorIndex.make(idx.sources, idx.bosons + (int(node),))
-
-
-def shift_source(grid, idx: SectorIndex, i, delta):
-    """Shift source i by an integer lattice displacement (units of h).
-
-    Returns the shifted SectorIndex, or OFF_GRID when the target node
-    leaves the box.
-    """
-    if not 0 <= i < len(idx.sources):
-        raise IndexError("source position out of range")
-    delta = np.asarray(delta, dtype=np.int64)
-    target = grid.axis_index[idx.sources[i]] + delta
-    if np.any(target < 0) or np.any(target >= grid.points_per_axis):
-        return OFF_GRID
-    new = list(idx.sources)
-    new[i] = grid.node_id(target)
-    return SectorIndex(tuple(new), idx.bosons)
+def _refuse_oversized(q, M, n_max):
+    """Raise SpaceTooLarge unless the index tables of a space with q
+    nodes fit the budget; counts only, nothing is allocated."""
+    try:
+        sector_dimension(q, M, n_max)     # the top sector is the largest
+    except OverflowError as exc:
+        raise SpaceTooLarge(str(exc)) from None
+    need = q**M * (24 * M + 16) + sum(
+        math.comb(q + n - 1, n) * (_BYTES_PER_MSET + _BYTES_PER_BOSON * n)
+        for n in range(n_max + 1))
+    if need > SPACE_BUDGET_BYTES:
+        raise SpaceTooLarge(
+            f"a Fock space with {q} nodes, M = {M} and n_max = {n_max} needs about "
+            f"{need / 2**30:.3g} GiB of index tables, over the limit of "
+            f"{SPACE_BUDGET_BYTES / 2**30:.3g} GiB")
 
 
 class FockSpace:
@@ -256,25 +211,24 @@ class FockSpace:
     def __init__(self, grid: MomentumGrid, M: int, n_max: int):
         if M < 1 or n_max < 0:
             raise ValueError("need M >= 1 and n_max >= 0")
+        q = grid.n_nodes
+        _refuse_oversized(q, M, n_max)
         self.grid = grid
         self.M = M
         self.n_max = n_max
-        q = grid.n_nodes
         self.n_source_tuples = q**M
-        if self.n_source_tuples > _INDEX_CAP:
-            raise OverflowError("source tuple count exceeds the index range")
         # source tuples in row-major order; psq[s] = sum of |p_i|^2
         self.src_tuples = np.stack(
             [g.ravel() for g in np.meshgrid(*([np.arange(q)] * M), indexing="ij")],
             axis=1,
         ).astype(np.int64)
         self.psq = (grid.norms**2)[self.src_tuples].sum(axis=1)
+        self._flat_ids = np.arange(self.n_source_tuples, dtype=np.int64)
 
         self.msets = []       # per n: (B_n, n) sorted node ids
         self.mult = []        # per n: (B_n,) multiplicities
         self._mset_pos = []   # per n: dict mapping tuple -> row
         for n in range(n_max + 1):
-            sector_dimension(grid, M, n)  # overflow guard
             rows = list(combinations_with_replacement(range(q), n))
             arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
             self.msets.append(arr)
@@ -347,26 +301,9 @@ class FockSpace:
             self._src_shift_cache[key] = out
         return self._src_shift_cache[key]
 
-    @property
-    def _flat_ids(self):
-        ids = getattr(self, "_flat_ids_arr", None)
-        if ids is None:
-            ids = np.arange(self.n_source_tuples, dtype=np.int64)
-            self._flat_ids_arr = ids
-        return ids
-
     def weights(self, n):
         """(B_n,) inner-product weights multiplicity * h^(d(M+n))."""
         return self.mult[n] * self.grid.h ** (self.grid.d * (self.M + n))
-
-    def index_of(self, sector_index: SectorIndex):
-        """Flat (sector, row, column) position of a SectorIndex."""
-        n = sector_index.n
-        s = 0
-        for i, sid in enumerate(sector_index.sources):
-            s += sid * self.grid.n_nodes ** (self.M - 1 - i)
-        b = self._mset_pos[n][sector_index.bosons]
-        return n, s, b
 
 
 class FockVector:
@@ -382,13 +319,6 @@ class FockVector:
     @classmethod
     def zero(cls, space):
         return cls(space)
-
-    @classmethod
-    def basis_state(cls, space, sector_index: SectorIndex, amplitude=1.0):
-        v = cls(space)
-        n, s, b = space.index_of(sector_index)
-        v.sectors[n][s, b] = amplitude
-        return v
 
     @classmethod
     def random(cls, space, seed=None):
@@ -444,79 +374,4 @@ class FockVector:
             block = flat[off:off + s * b].reshape(s, b).astype(complex)
             v.sectors[n] = block / w[None, :]
             off += s * b
-        return v
-
-    # --- serialization -------------------------------------------------
-    # binary container, version 1:
-    #   magic 'IBCF', uint32 version, uint32 d, uint32 M, uint32 n_max,
-    #   uint32 points_per_axis, float64 k_max, then per sector:
-    #   uint32 n, uint64 count, count * (uint64 row, uint64 col,
-    #   float64 re, float64 im) for the nonzero coefficients.
-    _MAGIC = b"IBCF"
-    _VERSION = 1
-
-    def to_bytes(self):
-        g = self.space.grid.spec
-        buf = io.BytesIO()
-        buf.write(self._MAGIC)
-        buf.write(struct.pack("<IIIIId", self._VERSION, g.d, self.space.M,
-                              self.space.n_max, g.points_per_axis, g.k_max))
-        for n in range(self.space.n_max + 1):
-            rows, cols = np.nonzero(self.sectors[n])
-            vals = self.sectors[n][rows, cols]
-            buf.write(struct.pack("<IQ", n, len(rows)))
-            for r, c, v in zip(rows, cols, vals):
-                buf.write(struct.pack("<QQdd", r, c, v.real, v.imag))
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data):
-        buf = io.BytesIO(data)
-        if buf.read(4) != cls._MAGIC:
-            raise ValueError("not a FockVector container")
-        header = buf.read(struct.calcsize("<IIIIId"))
-        version, d, m, n_max, points, k_max = struct.unpack("<IIIIId", header)
-        if version != cls._VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        space = FockSpace(build_grid(GridSpec(d, points, k_max)), m, n_max)
-        v = cls(space)
-        for _ in range(n_max + 1):
-            n, count = struct.unpack("<IQ", buf.read(12))
-            for _ in range(count):
-                r, c, re, im = struct.unpack("<QQdd", buf.read(32))
-                v.sectors[n][r, c] = re + 1j * im
-        return v
-
-    def to_json(self):
-        g = self.space.grid.spec
-        payload = {
-            "format": "fock_vector", "version": self._VERSION,
-            "d": g.d, "M": self.space.M, "n_max": self.space.n_max,
-            "points_per_axis": g.points_per_axis, "k_max": g.k_max,
-            "sectors": [],
-        }
-        for n in range(self.space.n_max + 1):
-            rows, cols = np.nonzero(self.sectors[n])
-            vals = self.sectors[n][rows, cols]
-            payload["sectors"].append({
-                "n": n,
-                "entries": [[int(r), int(c), v.real, v.imag]
-                            for r, c, v in zip(rows, cols, vals)],
-            })
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        if payload.get("format") != "fock_vector":
-            raise ValueError("not a FockVector JSON container")
-        space = FockSpace(
-            build_grid(GridSpec(payload["d"], payload["points_per_axis"], payload["k_max"])),
-            payload["M"], payload["n_max"],
-        )
-        v = cls(space)
-        for sector in payload["sectors"]:
-            n = sector["n"]
-            for r, c, re, im in sector["entries"]:
-                v.sectors[n][r, c] = re + 1j * im
         return v

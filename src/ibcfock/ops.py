@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import operator
 import os
 import threading
@@ -57,12 +56,12 @@ from . import quad
 from .grid import FockSpace, FockVector, MomentumGrid
 
 __all__ = [
-    "Connectivity",
     "DiagonalMode",
     "SingularInverse",
     "DimensionCap",
     "OperatorHandle",
     "matvec",
+    "flat_free_values",
     "free_multiplier",
     "number_multiplier",
     "apply_annihilation",
@@ -82,9 +81,6 @@ __all__ = [
     "hamiltonian",
     "shifted",
     "assemble_dense",
-    "dense_to_csv",
-    "dense_to_npy",
-    "operator_metadata",
 ]
 
 DENSE_CAP = 20_000
@@ -98,13 +94,6 @@ ASSEMBLY_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 _BYTES_PER_TRIPLET = 28
 # Triplets per emitted block, which bounds the temporaries of one block.
 _BLOCK_TRIPLETS = 1 << 20
-
-
-class Connectivity(Enum):
-    DIAGONAL = "diagonal"       # sector n -> n
-    LOWER = "lower"             # sector n -> n-1
-    RAISE = "raise"             # sector n -> n+1
-    TRIDIAGONAL = "tridiagonal"
 
 
 class DiagonalMode(Enum):
@@ -134,7 +123,7 @@ def matvec(mat, x):
 
 @dataclass
 class OperatorHandle:
-    """A linear map on FockVectors with declared sector connectivity.
+    """A linear map on FockVectors.
 
     `matrix` acts on FockVector.flatten coordinates: a real CSR matrix,
     or a LinearOperator above the assembly budget.  Diagonal operators
@@ -144,17 +133,10 @@ class OperatorHandle:
     """
 
     matrix: object
-    connectivity: Connectivity
     selfadjoint_claim: bool
     model: object
     space: FockSpace
-    cutoff: float | None
-    name: str
     factors: list | None = None
-
-    @property
-    def grid(self):
-        return self.space.grid
 
     def apply(self, psi):
         if self.factors is not None:
@@ -191,7 +173,7 @@ def _flat(space, per_sector):
         for v, m in zip(per_sector, space.msets)])
 
 
-def _free_values(model, space):
+def flat_free_values(model, space):
     """Flat vector of the free values P^2 + Omega."""
     return _flat(space, [space.free_values(model, n) for n in range(space.n_max + 1)])
 
@@ -433,9 +415,8 @@ def _through_next_sector(space, cutoff, factors):
 # diagonal multipliers
 # --------------------------------------------------------------------------
 
-def _diagonal_handle(space, factors, model, cutoff, name):
-    return OperatorHandle(_diag(_flat(space, factors)), Connectivity.DIAGONAL, True,
-                          model, space, cutoff, name, factors=factors)
+def _diagonal_handle(space, factors, model):
+    return OperatorHandle(_diag(_flat(space, factors)), True, model, space, factors=factors)
 
 
 def free_multiplier(model, space, power):
@@ -454,7 +435,7 @@ def free_multiplier(model, space, power):
                 f"free value 0 in sector n={n}; negative power {power} undefined"
             )
         factors.append(vals**power)
-    return _diagonal_handle(space, factors, model, None, f"free_multiplier^{power}")
+    return _diagonal_handle(space, factors, model)
 
 
 def number_multiplier(space, power):
@@ -462,7 +443,7 @@ def number_multiplier(space, power):
     if power < 0 and space.n_max >= 0:
         raise SingularInverse("negative powers of the number operator hit n = 0")
     scale = [float(n) ** power if (n or power) else 1.0 for n in range(space.n_max + 1)]
-    return _diagonal_handle(space, scale, None, None, f"number_multiplier^{power}")
+    return _diagonal_handle(space, scale, None)
 
 
 # --------------------------------------------------------------------------
@@ -471,14 +452,12 @@ def number_multiplier(space, power):
 
 def annihilation(model, space, cutoff=None):
     """One boson absorbed by a source; see _annihilation_kernel."""
-    return OperatorHandle(_annihilation_kernel(model, space, cutoff), Connectivity.LOWER,
-                          False, model, space, cutoff, "annihilation")
+    return OperatorHandle(_annihilation_kernel(model, space, cutoff), False, model, space)
 
 
 def creation(model, space, cutoff=None):
     """Exact discrete adjoint of annihilation: the transpose of its matrix."""
-    return OperatorHandle(_annihilation_kernel(model, space, cutoff).T, Connectivity.RAISE,
-                          False, model, space, cutoff, "creation")
+    return OperatorHandle(_annihilation_kernel(model, space, cutoff).T, False, model, space)
 
 
 def apply_annihilation(model, space, cutoff, psi):
@@ -492,7 +471,7 @@ def apply_creation(model, space, cutoff, psi):
 def _boundary_matrix(model, space, cutoff):
     """B = -g (P^2 + Omega)^(-1) a*: a row scaling of a.T, which has no
     row in the zero-boson sector."""
-    return _combine(operator.matmul, [_diag(-model.g / _free_values(model, space)),
+    return _combine(operator.matmul, [_diag(-model.g / flat_free_values(model, space)),
                                       _annihilation_kernel(model, space, cutoff).T])
 
 
@@ -501,8 +480,7 @@ def boundary_map(model, space, cutoff=None):
 
     Raises boson number by one; the output has no zero-boson component.
     """
-    return OperatorHandle(_boundary_matrix(model, space, cutoff), Connectivity.RAISE,
-                          False, model, space, cutoff, "boundary_map")
+    return OperatorHandle(_boundary_matrix(model, space, cutoff), False, model, space)
 
 
 def apply_boundary_map(model, space, cutoff, psi):
@@ -637,15 +615,13 @@ def contact_diagonal(model, space, mode=DiagonalMode.GRID_CONSISTENT,
                     pl = np.broadcast_to(p_norm[:, ell][:, None], env.shape)
                     base += cache.get_many(pl, env)
             factors.append(-model.g**2 * base)
-    return _diagonal_handle(space, factors, model, cutoff,
-                            f"contact_diagonal[{mode.value}]")
+    return _diagonal_handle(space, factors, model)
 
 
 def contact_offdiagonal(model, space, cutoff=None):
     """Off-diagonal part of the contact term; see _offdiagonal_kernel."""
     return OperatorHandle(-model.g**2 * _offdiagonal_kernel(model, space, cutoff),
-                          Connectivity.DIAGONAL, True, model, space, cutoff,
-                          "contact_offdiagonal")
+                          True, model, space)
 
 
 def apply_contact_offdiagonal(model, space, cutoff, psi):
@@ -663,13 +639,11 @@ def contact_term(model, space, mode=DiagonalMode.GRID_CONSISTENT,
         mat = _through_next_sector(space, cutoff, [
             model.g * _annihilation_kernel(model, space, cutoff),
             _boundary_matrix(model, space, cutoff)])
-        name = "contact_term[composed]"
     else:
         mat = _combine(operator.add, [
             contact_diagonal(model, space, mode, cutoff, cache).matrix,
             contact_offdiagonal(model, space, cutoff).matrix])
-        name = f"contact_term[{mode.value}]"
-    return OperatorHandle(mat, Connectivity.DIAGONAL, True, model, space, cutoff, name)
+    return OperatorHandle(mat, True, model, space)
 
 
 # --------------------------------------------------------------------------
@@ -687,9 +661,8 @@ def _plus_ladder(sector_part, model, space, cutoff):
 
 def cutoff_hamiltonian(model, space, cutoff=None):
     """L + g (annihilation + creation) with the cutoff form factor."""
-    mat = _plus_ladder(_diag(_free_values(model, space)), model, space, cutoff)
-    return OperatorHandle(mat, Connectivity.TRIDIAGONAL, True, model, space,
-                          cutoff, "cutoff_hamiltonian")
+    mat = _plus_ladder(_diag(flat_free_values(model, space)), model, space, cutoff)
+    return OperatorHandle(mat, True, model, space)
 
 
 def hamiltonian(model, space, mode=DiagonalMode.GRID_CONSISTENT,
@@ -702,18 +675,17 @@ def hamiltonian(model, space, mode=DiagonalMode.GRID_CONSISTENT,
     -L B = g a.T and its transpose.  The adjoint is the transpose, so
     hermiticity is structural.
     """
-    free = _free_values(model, space)
+    free = flat_free_values(model, space)
     a = _annihilation_kernel(model, space, cutoff)
     # B^T L B = g^2 a L^(-1) a.T, from B = -g L^(-1) a.T
     blb = _through_next_sector(space, cutoff, [a, _diag(model.g**2 / free), a.T])
     contact = contact_term(model, space, mode, cutoff, cache).matrix
     mat = _plus_ladder(_combine(operator.add, [_diag(free), blb, contact]),
                        model, space, cutoff)
-    return OperatorHandle(mat, Connectivity.TRIDIAGONAL, True, model, space,
-                          cutoff, f"hamiltonian[{mode.value}]")
+    return OperatorHandle(mat, True, model, space)
 
 
-def shifted(handle, shift, name):
+def shifted(handle, shift):
     """handle + shift * Id, as a handle on the same space."""
     mat = handle.matrix
     if sp.issparse(mat):
@@ -723,11 +695,11 @@ def shifted(handle, shift, name):
         mat.setdiag(mat.diagonal() + shift)
     else:
         mat = mat + shift * aslinearoperator(sp.eye_array(mat.shape[0]))
-    return dataclasses.replace(handle, matrix=mat, factors=None, name=name)
+    return dataclasses.replace(handle, matrix=mat, factors=None)
 
 
 # --------------------------------------------------------------------------
-# dense assembly and export
+# dense assembly
 # --------------------------------------------------------------------------
 
 def assemble_dense(handle, cap=DENSE_CAP):
@@ -742,36 +714,3 @@ def assemble_dense(handle, cap=DENSE_CAP):
         raise DimensionCap(f"dense dimension {dim} exceeds cap {cap}")
     mat = handle.matrix
     return mat.toarray() if sp.issparse(mat) else mat @ np.eye(dim)
-
-
-def dense_to_csv(mat, path):
-    """CSV export: real block then imaginary block, separated by a comment."""
-    with open(path, "w") as fh:
-        fh.write("# complex matrix: real block, then imaginary block\n")
-        np.savetxt(fh, mat.real, delimiter=",", fmt="%.11e")
-        fh.write("# imaginary part\n")
-        np.savetxt(fh, mat.imag, delimiter=",", fmt="%.11e")
-
-
-def dense_to_npy(mat, path):
-    """Binary export in the numpy .npy container (versioned, documented)."""
-    np.save(path, mat)
-
-
-def operator_metadata(handle):
-    """JSON-ready description of an operator handle."""
-    meta = {
-        "name": handle.name,
-        "connectivity": handle.connectivity.value,
-        "selfadjoint": handle.selfadjoint_claim,
-        "cutoff": handle.cutoff if handle.cutoff is not None else "full_grid",
-        "space": {
-            "M": handle.space.M,
-            "n_max": handle.space.n_max,
-            "nodes": handle.space.grid.n_nodes,
-            "dim": handle.space.total_dim,
-        },
-    }
-    if handle.model is not None:
-        meta["model"] = handle.model.describe()
-    return json.dumps(meta, sort_keys=True)

@@ -169,8 +169,7 @@ def test_criterion_6_scaling_exponents():
 
     halfinv = ops.free_multiplier(m, space, -0.5)
     a_half = ops.OperatorHandle(
-        ops.annihilation(m, space).matrix @ halfinv.matrix,
-        ops.Connectivity.LOWER, False, m, space, None, "a_free_halfinv")
+        ops.annihilation(m, space).matrix @ halfinv.matrix, False, m, space)
     a_norms = [analysis.sector_norm_estimate(a_half, n) for n in ns]
     a_exp = analysis.fit_growth_exponent(ns, a_norms)
     check(6, "annihilation L^-1/2 sector norms grow with exponent <= (2+D)/4 + 0.15",

@@ -195,8 +195,7 @@ class TestSectorNorms:
     def test_identity(self, small_setup):
         m, space = small_setup
         ident = ops.OperatorHandle(sp.eye_array(space.total_dim, format="csr"),
-                                   ops.Connectivity.DIAGONAL, True, m, space, None,
-                                   "identity")
+                                   True, m, space)
         assert analysis.sector_norm_estimate(ident, 1) == pytest.approx(1.0)
 
     def test_diagonal_max(self, small_setup):
@@ -291,8 +290,7 @@ class TestScalingUnderRefinement:
         space = FockSpace(build_grid(GridSpec(3, 4, 2.0)), 1, 2)
         halfinv = ops.free_multiplier(m, space, -0.5)
         a_half = ops.OperatorHandle(
-            ops.annihilation(m, space).matrix @ halfinv.matrix,
-            ops.Connectivity.LOWER, False, m, space, None, "a_half")
+            ops.annihilation(m, space).matrix @ halfinv.matrix, False, m, space)
         norms = [analysis.sector_norm_estimate(a_half, n) for n in (1, 2)]
         assert analysis.fit_growth_exponent([1, 2], norms) <= 0.40
 

@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import time
 
 import pytest
 
@@ -223,6 +224,37 @@ class TestSpectrumCommand:
         payload = json.loads(open(os.path.join(out_dir, "spectrum.json")).read())
         vals = payload["rows"][0]["eigenvalues"]
         assert len(vals) == 2 and vals[0] <= vals[1]
+
+
+@pytest.mark.parametrize("env,flag", [
+    ("abc", None),
+    ("0", None),
+    ("-2", None),
+    ("", None),
+    (None, "0"),
+    (None, "-4"),
+])
+def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, env, flag):
+    if env is not None:
+        monkeypatch.setenv("IBC_NUM_THREADS", env)
+    cfg = write_config(tmp_path, model={"kind": "delta2d"},
+                       output={"dir": str(tmp_path / "out")})
+    argv = ["validate", "--config", cfg] + (["--threads", flag] if flag else [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert ("--threads" if flag else "IBC_NUM_THREADS") in err
+
+
+def test_oversized_space_is_config_error(tmp_path, capsys):
+    # the shipped ladder starts at 8^3 nodes with n_max 4: about 2.9e9 multisets
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "froehlich.ini")
+    start = time.perf_counter()
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Fock space" in err
+    assert not os.listdir(tmp_path)
 
 
 class TestThreadsPlumbing:

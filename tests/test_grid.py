@@ -1,13 +1,13 @@
 import math
-from itertools import combinations_with_replacement, permutations
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from ibcfock.grid import (OFF_GRID, FockSpace, FockVector, GridSpec, SectorIndex,
-                          build_grid, delete_boson, insert_boson,
-                          sector_dimension, shift_source)
+from ibcfock import grid
+from ibcfock.grid import (FockSpace, FockVector, GridSpec, SpaceTooLarge, build_grid,
+                          sector_dimension)
 
 
 class TestBuildGrid:
@@ -68,35 +68,16 @@ class TestSectorDimension:
             sector_dimension(10**6, 3, 4)
 
 
-class TestSectorIndexAlgebra:
-    def test_multiplicity(self):
-        assert SectorIndex.make((0,), (1, 1, 3)).multiplicity == 3
-        assert SectorIndex.make((0,), (2, 2, 2)).multiplicity == 1
-        assert SectorIndex.make((0,), (0, 1, 2)).multiplicity == 6
+class TestSpaceTooLarge:
+    def test_refused_over_budget(self, monkeypatch):
+        monkeypatch.setattr(grid, "SPACE_BUDGET_BYTES", 0)
+        with pytest.raises(SpaceTooLarge):
+            FockSpace(build_grid(GridSpec(1, 2, 1.0)), 1, 1)
 
-    def test_delete(self):
-        idx = SectorIndex.make((2,), (1, 1, 3))
-        out, node = delete_boson(idx, 2)
-        assert node == 3 and out.bosons == (1, 1)
-
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=5),
-           st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_delete_insert_round_trip(self, bosons, data):
-        idx = SectorIndex.make((0,), bosons)
-        j = data.draw(st.integers(0, idx.n - 1))
-        reduced, node = delete_boson(idx, j)
-        restored = insert_boson(reduced, node)
-        assert restored == idx
-        assert restored.multiplicity == idx.multiplicity
-
-    def test_shift_source(self):
-        g = build_grid(GridSpec(1, 4, 2.0))
-        idx = SectorIndex.make((1,), (0, 2))
-        shifted = shift_source(g, idx, 0, (2,))
-        assert shifted.sources == (3,)
-        assert shift_source(g, idx, 0, (3,)) is OFF_GRID
-        assert shift_source(g, idx, 0, (0,)) == idx
+    def test_index_overflow_is_refused(self):
+        # 512^7 source tuples exceed the index range
+        with pytest.raises(SpaceTooLarge):
+            FockSpace(build_grid(GridSpec(3, 8, 2.0)), 7, 1)
 
 
 class TestInnerProduct:
@@ -138,38 +119,6 @@ class TestInnerProduct:
         assert u.inner(v) == pytest.approx(np.conj(v.inner(u)))
 
 
-class TestSerialization:
-    @pytest.fixture
-    def vec(self):
-        space = FockSpace(build_grid(GridSpec(2, 2, 1.0)), 1, 2)
-        v = FockVector.zero(space)
-        v.sectors[0][1, 0] = 2.0
-        v.sectors[1][2, 3] = 1.5 - 0.25j
-        v.sectors[2][0, 5] = -1.0j
-        return v
-
-    def test_bytes_round_trip(self, vec):
-        out = FockVector.from_bytes(vec.to_bytes())
-        for a, b in zip(out.sectors, vec.sectors):
-            np.testing.assert_array_equal(a, b)
-        assert out.space.grid.spec == vec.space.grid.spec
-
-    def test_json_round_trip(self, vec):
-        out = FockVector.from_json(vec.to_json())
-        for a, b in zip(out.sectors, vec.sectors):
-            np.testing.assert_array_equal(a, b)
-
-    def test_version_is_checked(self, vec):
-        raw = bytearray(vec.to_bytes())
-        raw[4] = 99  # corrupt the version field
-        with pytest.raises(ValueError):
-            FockVector.from_bytes(bytes(raw))
-
-    def test_magic_is_checked(self, vec):
-        with pytest.raises(ValueError):
-            FockVector.from_bytes(b"NOPE" + vec.to_bytes()[4:])
-
-
 class TestSourceShiftMaps:
     def test_off_grid_entries(self):
         space = FockSpace(build_grid(GridSpec(1, 4, 2.0)), 2, 1)
@@ -188,3 +137,62 @@ class TestSourceShiftMaps:
         # innermost nodes (ids 1, 2) have zero transfer displacement
         np.testing.assert_array_equal(space.source_shift(0, 1, +1),
                                       np.arange(space.n_source_tuples))
+
+
+class TestIndexTablesOracle:
+    """The index tables every operator is built from, against brute-force
+    recomputation on plain tuples."""
+
+    @pytest.fixture(scope="class", params=[GridSpec(1, 4, 2.0), GridSpec(2, 4, 2.0)],
+                    ids=["1d", "2d"])
+    def space(self, request):
+        return FockSpace(build_grid(request.param), 2, 3)
+
+    @staticmethod
+    def multisets(q, n):
+        """Sorted boson tuples of sector n, in lexicographic order."""
+        return sorted({tuple(sorted(t)) for t in product(range(q), repeat=n)})
+
+    def test_multisets_and_multiplicities(self, space):
+        q = space.grid.n_nodes
+        for n in range(space.n_max + 1):
+            rows = self.multisets(q, n)
+            assert [tuple(r) for r in space.msets[n].tolist()] == rows
+            for row, mult in zip(rows, space.mult[n]):
+                expected = math.factorial(n)
+                for c in Counter(row).values():
+                    expected //= math.factorial(c)
+                assert mult == expected
+
+    def test_insert_map(self, space):
+        q = space.grid.n_nodes
+        for n in range(space.n_max):
+            target_row = {t: j for j, t in enumerate(self.multisets(q, n + 1))}
+            for k in range(q):
+                targets, counts = space.insert_map(n, k)
+                for j, row in enumerate(self.multisets(q, n)):
+                    t = tuple(sorted(row + (k,)))
+                    assert targets[j] == target_row[t]
+                    assert counts[j] == t.count(k)
+
+    def test_source_shift(self, space):
+        d, N, M = space.grid.d, space.grid.points_per_axis, space.M
+        q = space.grid.n_nodes
+        tuples = list(product(range(q), repeat=M))     # row-major source tuples
+        row_of = {t: s for s, t in enumerate(tuples)}
+
+        def axes(node):
+            return [node // N ** (d - 1 - a) % N for a in range(d)]
+
+        for i, k, sign in product(range(M), range(q), (-1, 1)):
+            # coordinate of axis index c is (c + 1/2 - N/2) h; rounded toward zero
+            transfer = [math.trunc(c + 0.5 - N / 2) for c in axes(k)]
+            got = space.source_shift(i, k, sign)
+            for s, src in enumerate(tuples):
+                target = [c + sign * t for c, t in zip(axes(src[i]), transfer)]
+                if all(0 <= c < N for c in target):
+                    moved = list(src)
+                    moved[i] = sum(c * N ** (d - 1 - a) for a, c in enumerate(target))
+                    assert got[s] == row_of[tuple(moved)]
+                else:
+                    assert got[s] == -1

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from ibcfock import model, ops
-from ibcfock.grid import FockSpace, FockVector, GridSpec, SectorIndex, build_grid
+from ibcfock.grid import FockSpace, FockVector, GridSpec, build_grid
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +44,10 @@ class TestFreeMultiplier:
         m = model.power_law_model(1, 0.0, 2.0)
         space = FockSpace(build_grid(GridSpec(1, 2, 1.0)), 1, 1)
         h = ops.free_multiplier(m, space, 1.0)
-        idx = SectorIndex.make((1,), (1,))   # node 1 is +0.5
-        v = FockVector.basis_state(space, idx)
+        v = FockVector.zero(space)
+        v.sectors[1][1, 1] = 1.0             # source and boson on node 1, +0.5
         out = h.apply(v)
-        n, s, b = space.index_of(idx)
-        assert out.sectors[n][s, b] == pytest.approx(0.25 + 1.25)
+        assert out.sectors[1][1, 1] == pytest.approx(0.25 + 1.25)
 
     def test_inverse_pair_on_bosonic_sectors(self, micro_setup):
         m, space = micro_setup
@@ -101,7 +100,8 @@ class TestLadderOperators:
         # at the unshifted source node with weight h = 1
         m = model.power_law_model(1, 0.0, 2.0, g=1.0)
         space = FockSpace(build_grid(GridSpec(1, 2, 1.0)), 1, 1)
-        v = FockVector.basis_state(space, SectorIndex.make((1,), (1,)))
+        v = FockVector.zero(space)
+        v.sectors[1][1, 1] = 1.0
         out = ops.apply_annihilation(m, space, None, v)
         expected = np.zeros((2, 1))
         expected[1, 0] = space.grid.h  # sqrt(1) * h * vhat
@@ -343,7 +343,7 @@ class TestStreamingAboveBudget:
         streamed = FockSpace(build_grid(spec), M, n_max)
         builders = [ops.annihilation, ops.creation, ops.boundary_map, ops.contact_term,
                     ops.cutoff_hamiltonian, ops.hamiltonian,
-                    lambda m, s: ops.shifted(ops.cutoff_hamiltonian(m, s), 0.5, "reg")]
+                    lambda m, s: ops.shifted(ops.cutoff_hamiltonian(m, s), 0.5)]
         if m.is_renormalisable:
             builders.append(ops.contact_offdiagonal)
         want = [build(m, assembled) for build in builders]
@@ -442,7 +442,7 @@ class TestHamiltonians:
         m, space = micro_setup
         lam = 1.0
         e = ops.counterterm_grid(m, space, lam)
-        reg = ops.shifted(ops.cutoff_hamiltonian(m, space, cutoff=lam), e, "reg")
+        reg = ops.shifted(ops.cutoff_hamiltonian(m, space, cutoff=lam), e)
         hd = dense(ops.hamiltonian(m, space, cutoff=lam))
         assert np.abs(dense(reg) - hd).max() < 1e-12
 
@@ -471,8 +471,7 @@ class TestDenseAssembly:
     def test_identity_handle(self, micro_setup):
         m, space = micro_setup
         ident = ops.OperatorHandle(sp.eye_array(space.total_dim, format="csr"),
-                                   ops.Connectivity.DIAGONAL, True, m, space, None,
-                                   "identity")
+                                   True, m, space)
         np.testing.assert_allclose(dense(ident), np.eye(space.total_dim), atol=1e-15)
 
     def test_free_handle_is_diagonal(self, micro_setup):
@@ -486,28 +485,3 @@ class TestDenseAssembly:
         m, space = micro_setup
         with pytest.raises(ops.DimensionCap):
             ops.assemble_dense(ops.free_multiplier(m, space, 1.0), cap=10)
-
-    def test_csv_export(self, micro_setup, tmp_path):
-        m, space = micro_setup
-        mat = dense(ops.free_multiplier(m, space, 1.0))
-        path = tmp_path / "mat.csv"
-        ops.dense_to_csv(mat, path)
-        text = path.read_text()
-        assert text.startswith("# complex matrix")
-        assert len(text.splitlines()) == 2 * space.total_dim + 2
-
-    def test_npy_export_round_trip(self, micro_setup, tmp_path):
-        m, space = micro_setup
-        mat = dense(ops.free_multiplier(m, space, 1.0))
-        path = tmp_path / "mat.npy"
-        ops.dense_to_npy(mat, path)
-        np.testing.assert_array_equal(np.load(path), mat)
-
-    def test_metadata_json(self, micro_setup):
-        import json
-        m, space = micro_setup
-        meta = json.loads(ops.operator_metadata(ops.hamiltonian(m, space)))
-        assert meta["connectivity"] == "tridiagonal"
-        assert meta["selfadjoint"] is True
-        assert meta["cutoff"] == "full_grid"
-        assert meta["model"]["case"] == "renormalisable"
