@@ -455,8 +455,6 @@ def ground_energy(model, space, mode=ops.DiagonalMode.GRID_CONSISTENT, k=1,
     h = ops.hamiltonian(model, space, mode, cutoff)
     dim = space.total_dim
     if method == "dense" or (method == "auto" and dim <= cap):
-        if dim > cap:
-            raise ops.DimensionCap(f"dense dimension {dim} exceeds cap {cap}")
         mat = ops.assemble_dense(h, cap)
         vals = np.linalg.eigvalsh(mat)
         return [float(v) for v in vals[:k]]

@@ -269,6 +269,9 @@ def _require_grid(cfg):
 
 
 def cmd_flow(cfg):
+    if not cfg.model.is_renormalisable:
+        raise ConfigError(f"[model] flow needs a renormalisable model, "
+                          f"got the {cfg.model.case.value} case")
     space = _require_grid(cfg)
     if "lambdas" not in cfg.run:
         raise ConfigError("[run] flow needs a lambdas list")
@@ -287,6 +290,8 @@ def cmd_flow(cfg):
 
 
 def cmd_scan(cfg):
+    if cfg.model.M != 1:
+        raise ConfigError(f"[model] scan supports m = 1 only, got m = {cfg.model.M}")
     ladder = _floats(cfg.run.get("ladder", "4 8 16 32"))
     etas = _floats(cfg.run.get("etas", ""))
     if not etas:

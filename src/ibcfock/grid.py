@@ -117,9 +117,6 @@ class MomentumGrid:
         return (f"MomentumGrid(d={self.d}, points={self.points_per_axis}, "
                 f"k_max={self.spec.k_max}, nodes={self.n_nodes})")
 
-    def node_id(self, axis_indices):
-        return int(np.dot(np.asarray(axis_indices, dtype=np.int64), self._radix))
-
     @staticmethod
     def _model_key(model):
         # tables depend only on the form factor and dispersion shapes

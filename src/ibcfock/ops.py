@@ -33,16 +33,15 @@ With E_grid the grid counterterm, this yields the finite-cutoff identity
 
 to rounding, for any common cutoff L including the full grid.
 
-A primitive whose triplets would not fit in ASSEMBLY_BUDGET_BYTES, a fixed
-share of physical memory, is not stored: it streams the same node blocks
-on every apply, and the operators built on it are LinearOperator chains.
+An operator whose kernel triplets would not fit in ASSEMBLY_BUDGET_BYTES,
+a fixed share of physical memory, is refused with grid.SpaceTooLarge; the
+bound comes from counts, before any index table, triplet or array of the
+space's dimension is allocated.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -50,10 +49,9 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import quad
-from .grid import FockSpace, FockVector, MomentumGrid
+from .grid import FockSpace, FockVector, MomentumGrid, SpaceTooLarge
 
 __all__ = [
     "DiagonalMode",
@@ -85,8 +83,8 @@ __all__ = [
 
 DENSE_CAP = 20_000
 
-# A primitive kernel is assembled only if its triplets fit in this share
-# of physical memory; above it the kernel streams its blocks per apply.
+# An operator is built only if the triplets of its kernels fit in this
+# share of physical memory.
 ASSEMBLY_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8
 # Peak bytes per triplet while assembling: int32 row and column and
 # float64 value of the COO triplets, plus the float64 value and int32
@@ -125,11 +123,11 @@ def matvec(mat, x):
 class OperatorHandle:
     """A linear map on FockVectors.
 
-    `matrix` acts on FockVector.flatten coordinates: a real CSR matrix,
-    or a LinearOperator above the assembly budget.  Diagonal operators
-    also carry their per-sector `factors`; apply multiplies those into
-    the coefficients directly, without the weight round trip of the flat
-    basis, so that a unit factor is exactly the identity.
+    `matrix` acts on FockVector.flatten coordinates as a real CSR matrix.
+    Diagonal operators also carry their per-sector `factors`; apply
+    multiplies those into the coefficients directly, without the weight
+    round trip of the flat basis, so that a unit factor is exactly the
+    identity.
     """
 
     matrix: object
@@ -153,14 +151,6 @@ class OperatorHandle:
 # --------------------------------------------------------------------------
 # sparse building blocks
 # --------------------------------------------------------------------------
-
-def _combine(op, terms):
-    """Reduce terms with op (add or matmul): one CSR matrix when every
-    term is sparse, a LinearOperator chain otherwise."""
-    if all(sp.issparse(t) for t in terms):
-        return sp.csr_array(functools.reduce(op, terms))
-    return functools.reduce(op, [aslinearoperator(t) for t in terms])
-
 
 def _diag(values):
     return sp.diags_array(values, format="csr")
@@ -208,79 +198,78 @@ def _inserts(space, n, nodes):
             np.array([c for _, c in maps], dtype=float).reshape(shape))
 
 
-class _Streamed(LinearOperator):
-    """A kernel above the assembly budget.
-
-    Its triplet blocks are emitted again on every apply and never stored;
-    the transpose swaps rows and columns of the same blocks.
-    """
-
-    def __init__(self, shape, blocks, transposed=False):
-        super().__init__(np.float64, shape)
-        self._blocks = blocks
-        self._transposed = transposed
-
-    def _matmat(self, x):
-        cols_in = [np.ascontiguousarray(x[:, c]) for c in range(x.shape[1])]
-        out = np.zeros((x.shape[1], self.shape[0]))
-        for rows, cols, vals in self._blocks():
-            if self._transposed:
-                rows, cols = cols, rows
-            for acc, xc in zip(out, cols_in):
-                np.add.at(acc, rows, vals * xc[cols])
-        return out.T
-
-    def _matvec(self, x):
-        return self._matmat(np.reshape(x, (-1, 1)))[:, 0]
-
-    def _transpose(self):
-        return _Streamed(self.shape[::-1], self._blocks, not self._transposed)
-
-    _adjoint = _transpose
+def _refuse_over_budget(space, nnz_bound, what):
+    """Raise SpaceTooLarge if nnz_bound triplets do not fit the assembly
+    budget; counts only, nothing is allocated."""
+    need = nnz_bound * _BYTES_PER_TRIPLET
+    if need > ASSEMBLY_BUDGET_BYTES:
+        raise SpaceTooLarge(
+            f"the {what} of a Fock space with {space.grid.n_nodes} nodes, M = {space.M} "
+            f"and n_max = {space.n_max} needs about {need / 2**30:.3g} GiB of triplets, "
+            f"over the limit of {ASSEMBLY_BUDGET_BYTES / 2**30:.3g} GiB")
 
 
-def _kernel(space, key, make_blocks):
-    """A primitive kernel from its triplet blocks, cached on the space.
+def _kernel(space, key, what, nnz_bound, blocks):
+    """A primitive kernel assembled from its triplet blocks, cached on the space.
 
-    make_blocks() returns (nnz_bound, blocks): nnz_bound counts the
-    triplets of every block before the off-grid ones are dropped, and
-    decides, before anything is allocated, whether the kernel is
-    assembled into CSR or streamed.
+    nnz_bound() counts the triplets of every block before the off-grid
+    ones are dropped; it is checked against the assembly budget before
+    blocks() gathers any index table.
     """
     cache = space._kernel_cache
     if key not in cache:
-        nnz_bound, blocks = make_blocks()
+        bound = nnz_bound()
+        _refuse_over_budget(space, bound, what)
         n = space.total_dim
-        if nnz_bound * _BYTES_PER_TRIPLET > ASSEMBLY_BUDGET_BYTES:
-            cache[key] = _Streamed((n, n), blocks)
-        else:
-            index = np.int32 if max(n, nnz_bound) < 2**31 else np.int64
-            rows = np.empty(nnz_bound, dtype=index)
-            cols = np.empty(nnz_bound, dtype=index)
-            vals = np.empty(nnz_bound)
-            end = 0
-            for r, c, v in blocks():
-                rows[end:end + r.size], cols[end:end + r.size] = r, c
-                vals[end:end + r.size] = v
-                end += r.size
-            coo = sp.coo_array((vals[:end], (rows[:end], cols[:end])), shape=(n, n))
-            del rows, cols, vals
-            cache[key] = coo.tocsr()     # sums duplicate pairs
+        index = np.int32 if max(n, bound) < 2**31 else np.int64
+        rows = np.empty(bound, dtype=index)
+        cols = np.empty(bound, dtype=index)
+        vals = np.empty(bound)
+        end = 0
+        for r, c, v in blocks():
+            rows[end:end + r.size], cols[end:end + r.size] = r, c
+            vals[end:end + r.size] = v
+            end += r.size
+        coo = sp.coo_array((vals[:end], (rows[:end], cols[:end])), shape=(n, n))
+        del rows, cols, vals
+        cache[key] = coo.tocsr()     # sums duplicate pairs
     return cache[key]
 
 
 def _annihilation_kernel(model, space, cutoff):
     return _kernel(space, ("a", MomentumGrid._model_key(model), cutoff),
+                   "annihilation kernel", lambda: _annihilation_bound(space, cutoff),
                    lambda: _annihilation_blocks(model, space, cutoff))
 
 
 def _offdiagonal_kernel(model, space, cutoff):
     return _kernel(space, ("T", MomentumGrid._model_key(model), cutoff),
+                   "contact term", lambda: _exchange_bound(space, cutoff),
                    lambda: _offdiagonal_blocks(model, space, cutoff))
 
 
+def _annihilation_bound(space, cutoff):
+    """Triplet count of the annihilation kernel's blocks."""
+    return (space.M * len(_cutoff_nodes(space, cutoff)) * space.n_source_tuples
+            * sum(m.shape[0] for m in space.msets[:-1]))
+
+
+def _exchange_bound(space, cutoff):
+    """Triplet count of the off-diagonal kernel's blocks.
+
+    A product a X a.T through sector n+1 has the same pattern, so the
+    same count bounds it.
+    """
+    k_count = len(_cutoff_nodes(space, cutoff))
+    M, n_src, b = space.M, space.n_source_tuples, [m.shape[0] for m in space.msets]
+    return sum(M * (M - 1) * k_count * n_src * b[n]
+               + (M * M * k_count**2 * n_src * b[n - 1] if n >= 1 else 0)
+               for n in range(space.n_max))
+
+
 def _annihilation_blocks(model, space, cutoff):
-    """The annihilation kernel a in the flat orthonormal basis.
+    """Triplet blocks of the annihilation kernel a in the flat orthonormal
+    basis.
 
     Sector n of a psi receives
 
@@ -299,26 +288,23 @@ def _annihilation_blocks(model, space, cutoff):
     half_hd = grd.h ** (grd.d / 2.0)     # h^d * sqrt(h^-d): weight ratio of n to n+1
     smaps = [_shifts(space, i, nodes, -1) for i in range(space.M)]
     tgts = [_inserts(space, n, nodes)[0] for n in range(space.n_max)]
-
-    def blocks():
-        for n in range(space.n_max):
-            b_out, b_in = space.msets[n].shape[0], space.msets[n + 1].shape[0]
-            for blk in _node_blocks(len(nodes), n_src * b_out):
-                tgt = tgts[n][blk]                                  # (K, b_out)
-                val = (np.sqrt(n + 1.0) * half_hd * vhat[nodes[blk]][:, None]
-                       * np.sqrt(space.mult[n][None, :] / space.mult[n + 1][tgt]))
-                for smap_all in smaps:
-                    smap = smap_all[blk]                            # (K, S)
-                    kk, s = np.nonzero(smap >= 0)
-                    rows = off[n] + s[:, None] * b_out + np.arange(b_out)
-                    cols = off[n + 1] + smap[kk, s][:, None] * b_in + tgt[kk]
-                    yield rows.ravel(), cols.ravel(), val[kk].ravel()
-
-    return space.M * len(nodes) * n_src * sum(m.shape[0] for m in space.msets[:-1]), blocks
+    for n in range(space.n_max):
+        b_out, b_in = space.msets[n].shape[0], space.msets[n + 1].shape[0]
+        for blk in _node_blocks(len(nodes), n_src * b_out):
+            tgt = tgts[n][blk]                                      # (K, b_out)
+            val = (np.sqrt(n + 1.0) * half_hd * vhat[nodes[blk]][:, None]
+                   * np.sqrt(space.mult[n][None, :] / space.mult[n + 1][tgt]))
+            for smap_all in smaps:
+                smap = smap_all[blk]                                # (K, S)
+                kk, s = np.nonzero(smap >= 0)
+                rows = off[n] + s[:, None] * b_out + np.arange(b_out)
+                cols = off[n + 1] + smap[kk, s][:, None] * b_in + tgt[kk]
+                yield rows.ravel(), cols.ravel(), val[kk].ravel()
 
 
 def _offdiagonal_blocks(model, space, cutoff):
-    """The off-diagonal contact kernel per unit coupling (times -g^2 in T).
+    """Triplet blocks of the off-diagonal contact kernel per unit coupling
+    (times -g^2 in T).
 
     Sums the source-exchange kernels (i != l, distinct sources trade the
     integrated boson) and the boson-exchange kernels (the integrated
@@ -380,35 +366,11 @@ def _offdiagonal_blocks(model, space, cutoff):
                     cols = off[n] + comp[ww, kk, s][:, None] * b + tk[kk]
                     yield rows.ravel(), cols.ravel(), val.ravel()
 
-    def blocks():
-        for n in range(space.n_max):        # kernels vanish on n = n_max
-            if M >= 2:
-                yield from source_exchange(n)
-            if n >= 1:
-                yield from boson_exchange(n)
-
-    return _exchange_bound(space, len(nodes)), blocks
-
-
-def _exchange_bound(space, k_count):
-    """Triplet count of the off-diagonal kernel's blocks for k_count nodes."""
-    M, n_src, b = space.M, space.n_source_tuples, [m.shape[0] for m in space.msets]
-    return sum(M * (M - 1) * k_count * n_src * b[n]
-               + (M * M * k_count**2 * n_src * b[n - 1] if n >= 1 else 0)
-               for n in range(space.n_max))
-
-
-def _through_next_sector(space, cutoff, factors):
-    """Product a X a.T of factors that passes through sector n+1.
-
-    Its pattern is that of the exchange kernels, so it is assembled only
-    when their triplets fit the assembly budget, and otherwise stays a
-    LinearOperator product.
-    """
-    bound = _exchange_bound(space, len(_cutoff_nodes(space, cutoff)))
-    if bound * _BYTES_PER_TRIPLET > ASSEMBLY_BUDGET_BYTES:
-        factors = [aslinearoperator(f) for f in factors]
-    return _combine(operator.matmul, factors)
+    for n in range(space.n_max):            # kernels vanish on n = n_max
+        if M >= 2:
+            yield from source_exchange(n)
+        if n >= 1:
+            yield from boson_exchange(n)
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +402,7 @@ def free_multiplier(model, space, power):
 
 def number_multiplier(space, power):
     """Multiplication by n^power on sector n, with 0^0 = 1."""
-    if power < 0 and space.n_max >= 0:
+    if power < 0:
         raise SingularInverse("negative powers of the number operator hit n = 0")
     scale = [float(n) ** power if (n or power) else 1.0 for n in range(space.n_max + 1)]
     return _diagonal_handle(space, scale, None)
@@ -471,8 +433,8 @@ def apply_creation(model, space, cutoff, psi):
 def _boundary_matrix(model, space, cutoff):
     """B = -g (P^2 + Omega)^(-1) a*: a row scaling of a.T, which has no
     row in the zero-boson sector."""
-    return _combine(operator.matmul, [_diag(-model.g / flat_free_values(model, space)),
-                                      _annihilation_kernel(model, space, cutoff).T])
+    a = _annihilation_kernel(model, space, cutoff)
+    return sp.csr_array(_diag(-model.g / flat_free_values(model, space)) @ a.T)
 
 
 def boundary_map(model, space, cutoff=None):
@@ -635,14 +597,15 @@ def contact_term(model, space, mode=DiagonalMode.GRID_CONSISTENT,
     Form-perturbation models use g * annihilation o boundary_map directly;
     renormalizable models use the diagonal + off-diagonal kernel split.
     """
+    # the product a B through sector n+1 and the off-diagonal kernel have
+    # the pattern of the exchange kernels: refuse both before any gather
+    _refuse_over_budget(space, _exchange_bound(space, cutoff), "contact term")
     if not model.is_renormalisable:
-        mat = _through_next_sector(space, cutoff, [
-            model.g * _annihilation_kernel(model, space, cutoff),
-            _boundary_matrix(model, space, cutoff)])
+        a = _annihilation_kernel(model, space, cutoff)
+        mat = sp.csr_array((model.g * a) @ _boundary_matrix(model, space, cutoff))
     else:
-        mat = _combine(operator.add, [
-            contact_diagonal(model, space, mode, cutoff, cache).matrix,
-            contact_offdiagonal(model, space, cutoff).matrix])
+        mat = sp.csr_array(contact_diagonal(model, space, mode, cutoff, cache).matrix
+                           + contact_offdiagonal(model, space, cutoff).matrix)
     return OperatorHandle(mat, True, model, space)
 
 
@@ -650,18 +613,19 @@ def contact_term(model, space, mode=DiagonalMode.GRID_CONSISTENT,
 # Hamiltonians
 # --------------------------------------------------------------------------
 
-def _plus_ladder(sector_part, model, space, cutoff):
+def _plus_ladder(sector_part, g, a):
     """sector_part + g (a + a.T) for a boson-number preserving sector_part.
 
     The three patterns are disjoint, so scipy sizes each sum exactly.
     """
-    ga = model.g * _annihilation_kernel(model, space, cutoff)
-    return _combine(operator.add, [sector_part, ga, ga.T])
+    ga = g * a
+    return sp.csr_array(sector_part + ga + ga.T)
 
 
 def cutoff_hamiltonian(model, space, cutoff=None):
     """L + g (annihilation + creation) with the cutoff form factor."""
-    mat = _plus_ladder(_diag(flat_free_values(model, space)), model, space, cutoff)
+    a = _annihilation_kernel(model, space, cutoff)
+    mat = _plus_ladder(_diag(flat_free_values(model, space)), model.g, a)
     return OperatorHandle(mat, True, model, space)
 
 
@@ -675,26 +639,24 @@ def hamiltonian(model, space, mode=DiagonalMode.GRID_CONSISTENT,
     -L B = g a.T and its transpose.  The adjoint is the transpose, so
     hermiticity is structural.
     """
-    free = flat_free_values(model, space)
+    # B^T L B passes through sector n+1, so the exchange bound refuses it
+    # (and the contact term) before a or L is built
+    _refuse_over_budget(space, _exchange_bound(space, cutoff), "contact term")
     a = _annihilation_kernel(model, space, cutoff)
+    free = flat_free_values(model, space)
     # B^T L B = g^2 a L^(-1) a.T, from B = -g L^(-1) a.T
-    blb = _through_next_sector(space, cutoff, [a, _diag(model.g**2 / free), a.T])
+    blb = sp.csr_array(a @ _diag(model.g**2 / free) @ a.T)
     contact = contact_term(model, space, mode, cutoff, cache).matrix
-    mat = _plus_ladder(_combine(operator.add, [_diag(free), blb, contact]),
-                       model, space, cutoff)
+    mat = _plus_ladder(sp.csr_array(_diag(free) + blb + contact), model.g, a)
     return OperatorHandle(mat, True, model, space)
 
 
 def shifted(handle, shift):
     """handle + shift * Id, as a handle on the same space."""
-    mat = handle.matrix
-    if sp.issparse(mat):
-        # in place on a copy: a Hamiltonian stores its whole diagonal, so
-        # the pattern and the size stay those of the matrix
-        mat = mat.copy()
-        mat.setdiag(mat.diagonal() + shift)
-    else:
-        mat = mat + shift * aslinearoperator(sp.eye_array(mat.shape[0]))
+    # in place on a copy: a Hamiltonian stores its whole diagonal, so the
+    # pattern and the size stay those of the matrix
+    mat = handle.matrix.copy()
+    mat.setdiag(mat.diagonal() + shift)
     return dataclasses.replace(handle, matrix=mat, factors=None)
 
 
@@ -712,5 +674,4 @@ def assemble_dense(handle, cap=DENSE_CAP):
     dim = handle.space.total_dim
     if dim > cap:
         raise DimensionCap(f"dense dimension {dim} exceeds cap {cap}")
-    mat = handle.matrix
-    return mat.toarray() if sp.issparse(mat) else mat @ np.eye(dim)
+    return handle.matrix.toarray()

@@ -246,15 +246,44 @@ def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, env, fl
     assert ("--threads" if flag else "IBC_NUM_THREADS") in err
 
 
-def test_oversized_space_is_config_error(tmp_path, capsys):
-    # the shipped ladder starts at 8^3 nodes with n_max 4: about 2.9e9 multisets
-    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "froehlich.ini")
+def _assert_oversized_refused(tmp_path, capsys, name, seconds):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", name)
     start = time.perf_counter()
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < seconds
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Fock space" in err
     assert not os.listdir(tmp_path)
+
+
+def test_oversized_space_is_config_error(tmp_path, capsys):
+    # the shipped ladder starts at 8^3 nodes with n_max 4: about 2.9e9 multisets
+    _assert_oversized_refused(tmp_path, capsys, "froehlich.ini", 1.0)
+
+
+def test_oversized_kernel_is_config_error(tmp_path, capsys):
+    # the index tables of 8^3 nodes with n_max 2 fit, but the kernel a has
+    # 1.34e8 triplets and H more: refused after the space, before any kernel
+    _assert_oversized_refused(tmp_path, capsys, "nelson.ini", 2.0)
+
+
+@pytest.mark.parametrize("command,kind,m", [
+    ("flow", "froehlich", 1),     # a form perturbation has no flow
+    ("scan", "nelson", 2),        # the scan has one source
+])
+def test_model_mismatch_is_config_error(tmp_path, capsys, monkeypatch, command, kind, m):
+    cfg = write_config(
+        tmp_path,
+        model={"kind": kind, "g": 1.0, "m": m},
+        grid={"points_per_axis": 2, "k_max": 1.0, "n_max": 1},
+        run={"lambdas": "0.5, 1.0", "etas": "0.5", "ladder": "4, 8"},
+        output={"dir": str(tmp_path / "out")},
+    )
+    monkeypatch.setattr(cli, "FockSpace", lambda *args: pytest.fail("space built"))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [model]")
+    assert not (tmp_path / "out").exists()
 
 
 class TestThreadsPlumbing:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from ibcfock import model, ops
-from ibcfock.grid import FockSpace, FockVector, GridSpec, build_grid
+from ibcfock.grid import FockSpace, FockVector, GridSpec, SpaceTooLarge, build_grid
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +57,22 @@ class TestFreeMultiplier:
             ops.free_multiplier(m, space, -1.0).apply(v))
         assert (back - v).norm() < 1e-13 * v.norm()
 
-    def test_singular_inverse_detection(self, micro_setup):
+    def test_singular_inverse_detection(self, micro_setup, monkeypatch):
         # a synthetic sector with an exact zero cannot be inverted; our grids
-        # never produce one, so patch a zero into the cached free values
+        # never produce one, so patch a zero into the space's free values
         m, space = micro_setup
         assert space.free_values(m, 0).min() > 0.0
-        h = ops.free_multiplier(m, space, -1.0)   # fine on this grid
-        assert h.selfadjoint_claim
+        assert ops.free_multiplier(m, space, -1.0).selfadjoint_claim   # fine here
+        free_values = space.free_values
+
+        def with_zero(model, n):
+            vals = free_values(model, n).copy()
+            vals[0, 0] = 0.0
+            return vals
+
+        monkeypatch.setattr(space, "free_values", with_zero)
+        with pytest.raises(ops.SingularInverse):
+            ops.free_multiplier(m, space, -1.0)
 
 
 class TestNumberMultiplier:
@@ -330,35 +339,51 @@ class TestContactTerm:
                 assert out.sectors[n][s, b] == pytest.approx(acc, abs=1e-12)
 
 
-class TestStreamingAboveBudget:
-    """Kernels above the assembly budget stream their node blocks per apply."""
+class TestRefusalAboveBudget:
+    """An operator whose kernel triplets exceed the assembly budget is
+    refused from counts, before any index gather or array is allocated."""
+
+    BUILDERS = [ops.annihilation, ops.creation, ops.boundary_map, ops.contact_term,
+                ops.cutoff_hamiltonian, ops.hamiltonian,
+                lambda m, s: ops.shifted(ops.cutoff_hamiltonian(m, s), 0.5)]
+
+    @staticmethod
+    def forbid_allocation(monkeypatch):
+        for name in ("_shifts", "_inserts", "flat_free_values"):
+            monkeypatch.setattr(ops, name, lambda *args: pytest.fail("allocated"))
 
     @pytest.mark.parametrize("m,spec", [
         (model.delta2d(g=0.9, M=2), GridSpec(2, 2, 1.0)),
         (model.froehlich(g=0.6, M=2), GridSpec(3, 2, 2.0)),   # composed contact term
     ])
-    def test_streamed_matches_assembled(self, m, spec, monkeypatch):
-        M, n_max = 2, 2
-        assembled = FockSpace(build_grid(spec), M, n_max)
-        streamed = FockSpace(build_grid(spec), M, n_max)
-        builders = [ops.annihilation, ops.creation, ops.boundary_map, ops.contact_term,
-                    ops.cutoff_hamiltonian, ops.hamiltonian,
-                    lambda m, s: ops.shifted(ops.cutoff_hamiltonian(m, s), 0.5)]
+    def test_every_builder_refuses(self, m, spec, monkeypatch):
+        space = FockSpace(build_grid(spec), 2, 2)
+        builders = list(self.BUILDERS)
         if m.is_renormalisable:
             builders.append(ops.contact_offdiagonal)
-        want = [build(m, assembled) for build in builders]
         monkeypatch.setattr(ops, "ASSEMBLY_BUDGET_BYTES", 0)
-        got = [build(m, streamed) for build in builders]
-        assert not any(sp.issparse(h.matrix) for h in got)
-        v = FockVector.random(assembled, 51)
-        w = FockVector(streamed, [s.copy() for s in v.sectors])
-        for ref, h in zip(want, got):
-            diff = ref.apply(v).flatten() - h.apply(w).flatten()
-            assert np.linalg.norm(diff) <= 1e-13 * np.linalg.norm(ref.apply(v).flatten())
-            adiff = ref.adjoint_apply(v).flatten() - h.adjoint_apply(w).flatten()
-            assert np.linalg.norm(adiff) <= 1e-13 * np.linalg.norm(
-                ref.adjoint_apply(v).flatten())
-        np.testing.assert_allclose(dense(got[-1]), dense(want[-1]), rtol=0, atol=1e-13)
+        self.forbid_allocation(monkeypatch)
+        for build in builders:
+            with pytest.raises(SpaceTooLarge, match="Fock space .* GiB"):
+                build(m, space)
+        assert not space._kernel_cache
+
+    def test_budget_between_the_kernels(self, monkeypatch):
+        # a fits, the exchange kernels do not: the composed contact term of a
+        # form-perturbation model is refused, the ladder operators still build
+        m = model.froehlich(g=0.6, M=2)
+        space = FockSpace(build_grid(GridSpec(3, 2, 2.0)), 2, 2)
+        a_bytes = ops._annihilation_bound(space, None) * ops._BYTES_PER_TRIPLET
+        exchange_bytes = ops._exchange_bound(space, None) * ops._BYTES_PER_TRIPLET
+        assert a_bytes < exchange_bytes
+        monkeypatch.setattr(ops, "ASSEMBLY_BUDGET_BYTES", a_bytes)
+        assert ops.annihilation(m, space).matrix.nnz > 0
+        assert ops.cutoff_hamiltonian(m, space).matrix.nnz > 0
+        self.forbid_allocation(monkeypatch)
+        with pytest.raises(SpaceTooLarge, match="contact term"):
+            ops.contact_term(m, space)
+        with pytest.raises(SpaceTooLarge, match="contact term"):
+            ops.hamiltonian(m, space)
 
 
 class TestContactDiagonalContinuum:
