@@ -343,6 +343,16 @@ def regularity_scan(model, cutoff_ladder, etas, probe_width=1.0, tol=0.03,
     sector sizes that cannot be materialized, and for one source the
     double-sum form above is exactly the operator norm (cross-checked
     against the Fock-space route in the test suite).
+
+    The inner sum over k of each probe node q is invariant when q is
+    replaced by any signed axis permutation of itself: the half-offset
+    grid maps onto itself under that group, the transfer rounding
+    (toward zero) is odd and permutation-equivariant, vhat and omega
+    depend on |k| only, L(q - t(k), k) on |q - t(k)|, and the box test
+    on the absolute coordinates.  So the inner sum is evaluated once per
+    orbit of the selected probe nodes, at one representative weighted by
+    the summed probe amplitudes of its orbit.  The orbit key is exact
+    integer arithmetic: the sorted absolute coordinates in units of h/2.
     """
     if model.M != 1:
         raise ValueError("the ladder scan supports single-source models only")
@@ -365,8 +375,12 @@ def regularity_scan(model, cutoff_ladder, etas, probe_width=1.0, tol=0.03,
         # probe support: nodes where the Gaussian amplitude is above noise
         radius = min(6.0 * sigma, k_max)
         sel = np.nonzero(grid.norms <= radius)[0]
-        probe_q = grid.coords[sel]
         amp2 = np.exp(-(grid.norms[sel] ** 2) / sigma**2) / cont_norm2
+        # one representative per signed-permutation orbit, carrying its orbit's weight
+        key = np.sort(np.abs(2 * grid.axis_index[sel] - (points - 1)), axis=1)
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        probe_q = grid.coords[sel[first]]
+        amp2 = np.bincount(inverse.ravel(), weights=amp2)
 
         cells = [
             (lambda eta=eta: _scan_norm_squared(model, grid, eta, probe_q, amp2))

@@ -293,6 +293,19 @@ def cmd_scan(cfg):
     if cfg.model.M != 1:
         raise ConfigError(f"[model] scan supports m = 1 only, got m = {cfg.model.M}")
     ladder = _floats(cfg.run.get("ladder", "4 8 16 32"))
+    if not ladder:
+        raise ConfigError("[run] ladder must not be empty")
+    if not all(0 < k < float("inf") for k in ladder):
+        raise ConfigError(f"[run] ladder rungs must be positive, got {ladder}")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(f"[run] ladder must be strictly increasing, got {ladder}")
+    ppu = cfg.run.get("points_per_unit")
+    ppu = float(ppu) if ppu else None
+    if ppu is not None and not 0 < ppu < float("inf"):
+        raise ConfigError(f"[run] points_per_unit must be positive, got {ppu:g}")
+    if 2 * ladder[0] * (ppu or 1.0) < 1:
+        raise ConfigError(f"[run] ladder rung {ladder[0]:g} gives fewer than 2 "
+                          "points per axis; raise it or points_per_unit")
     etas = _floats(cfg.run.get("etas", ""))
     if not etas:
         raise ConfigError("[run] scan needs an etas list")
@@ -300,11 +313,9 @@ def cmd_scan(cfg):
     # verdict thresholds have their own keys; `tol` stays a solver knob
     cauchy_tol = float(cfg.run.get("cauchy_tol", 0.03))
     growth = float(cfg.run.get("growth_threshold", 0.05))
-    ppu = cfg.run.get("points_per_unit")
     report = analysis.regularity_scan(cfg.model, ladder, etas, probe_width=width,
                                       tol=cauchy_tol, growth_threshold=growth,
-                                      points_per_unit=float(ppu) if ppu else None,
-                                      threads=cfg.threads)
+                                      points_per_unit=ppu, threads=cfg.threads)
     for eta, verdict in zip(report.etas, report.verdicts):
         print(f"eta={eta:g}: {verdict}")
     _write(cfg, "scan", json_text=_wrap_json(cfg, json.loads(report.to_json())),

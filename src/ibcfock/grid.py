@@ -100,16 +100,19 @@ class MomentumGrid:
         n = spec.points_per_axis
         self.points_per_axis = n
         self.axis = -spec.k_max + (np.arange(n) + 0.5) * self.h
-        grids = np.meshgrid(*([self.axis] * spec.d), indexing="ij")
-        self.coords = np.stack([g.ravel() for g in grids], axis=1)
-        self.norms = np.sqrt((self.coords**2).sum(axis=1))
+        # per-axis index of each node, row-major over axes; the node tables
+        # are gathered from per-axis tables, and the squared norms add the
+        # axes left to right, as (coords**2).sum(axis=1) does
+        self.axis_index = np.indices((n,) * spec.d).reshape(spec.d, -1).T.copy()
+        self.coords = self.axis[self.axis_index]
+        axis_sq = self.axis**2
+        norms_sq = axis_sq[self.axis_index[:, 0]]
+        for j in range(1, spec.d):
+            norms_sq += axis_sq[self.axis_index[:, j]]
+        self.norms = np.sqrt(norms_sq)
         self.n_nodes = self.coords.shape[0]
-        # per-axis index of each node and its toward-zero displacement
-        self.axis_index = np.stack(
-            [g.ravel() for g in np.meshgrid(*([np.arange(n)] * spec.d), indexing="ij")],
-            axis=1,
-        )
-        self.transfer = np.trunc(self.coords / self.h).astype(np.int64)
+        # toward-zero displacement of each node
+        self.transfer = np.trunc(self.axis / self.h).astype(np.int64)[self.axis_index]
         self._model_tables = {}
         self._radix = n ** np.arange(spec.d - 1, -1, -1, dtype=np.int64)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -147,6 +148,57 @@ class TestRegularityScan:
                 m, grid, eta, grid.coords[sel], amp2[sel]))
             assert fast == pytest.approx(direct, rel=1e-12)
 
+    @staticmethod
+    def _unreduced_table(m, ladder, etas, sigma):
+        # the scan's double sum with every selected probe node, no orbits
+        cont = (sigma * math.sqrt(math.pi)) ** m.d
+        table = np.zeros((len(etas), len(ladder)))
+        for j, k_max in enumerate(ladder):
+            grid = build_grid(GridSpec(m.d, int(round(2 * k_max)), k_max))
+            sel = np.nonzero(grid.norms <= min(6.0 * sigma, k_max))[0]
+            amp2 = np.exp(-grid.norms[sel] ** 2 / sigma**2) / cont
+            for i, eta in enumerate(etas):
+                table[i, j] = math.sqrt(analysis._scan_norm_squared(
+                    m, grid, eta, grid.coords[sel], amp2))
+        return table
+
+    @pytest.mark.parametrize("spec,etas", [
+        (model.delta2d(g=0.9), [0.3, 0.7]),
+        (model.nelson(g=1.0), [0.3, 0.7]),
+        (model.froehlich(g=1.0), [0.5, 0.9]),
+    ], ids=["delta2d", "nelson", "froehlich"])
+    def test_orbit_reduction_matches_unreduced_sum(self, spec, etas):
+        # rungs 2 and 4 clip the probe radius 6 at k_max, rung 8 does not;
+        # the etas sit on either side of the model's threshold
+        ladder = [2.0, 4.0, 8.0]
+        rep = analysis.regularity_scan(spec, ladder, etas, probe_width=1.0)
+        want = self._unreduced_table(spec, ladder, etas, 1.0)
+        np.testing.assert_allclose(rep.norm_table, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec", [model.delta2d(), model.nelson()],
+                             ids=["delta2d", "nelson"])
+    def test_one_sum_per_orbit(self, spec, monkeypatch):
+        # the scan evaluates one inner sum per orbit of the selected nodes
+        # under signed axis permutations, counted here by brute force
+        sizes = []
+        inner = analysis._scan_norm_squared
+
+        def counting(m, grid, eta, probe_q, probe_vals):
+            sizes.append(len(probe_q))
+            return inner(m, grid, eta, probe_q, probe_vals)
+
+        monkeypatch.setattr(analysis, "_scan_norm_squared", counting)
+        analysis.regularity_scan(spec, [4.0], [0.3])
+        grid = build_grid(GridSpec(spec.d, 8, 4.0))
+        nodes = {tuple(int(c) for c in np.rint(2 * x / grid.h))
+                 for x in grid.coords[grid.norms <= 4.0]}
+        orbits = {frozenset(tuple(s * x[p] for s, p in zip(signs, perm))
+                            for perm in itertools.permutations(range(spec.d))
+                            for signs in itertools.product((1, -1), repeat=spec.d))
+                  & nodes for x in nodes}
+        assert sizes == [len(orbits)]
+        assert len(orbits) < len(nodes)
+
     def test_eta_zero_is_cauchy_for_every_model(self):
         for spec in (model.delta2d(), model.nelson(), model.froehlich()):
             rep = analysis.regularity_scan(spec, [2.0, 4.0, 8.0, 16.0], [0.0])
@@ -169,7 +221,6 @@ class TestRegularityScan:
                                            [0.6], probe_width=width)
             assert rep.verdicts == ["Diverging"]
 
-    @pytest.mark.slow
     def test_half_power_face_diverges_nelson(self):
         for width in (0.6, 0.9, 1.2, 1.5, 2.0):
             rep = analysis.regularity_scan(model.nelson(), [4., 8., 16., 32.],

@@ -246,6 +246,29 @@ def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, env, fl
     assert ("--threads" if flag else "IBC_NUM_THREADS") in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("ladder", "8, 4"),
+    ("ladder", "4, 4"),
+    ("ladder", "-4, 8"),
+    ("ladder", "0, 8"),
+    ("ladder", "4, inf"),
+    ("ladder", ""),
+    ("ladder", "0.2, 8"),
+    ("points_per_unit", "-1"),
+    ("points_per_unit", "0"),
+])
+def test_bad_scan_ladder_is_config_error(tmp_path, capsys, monkeypatch, key, value):
+    run = {"etas": "0.3", "ladder": "2, 4", key: value}
+    cfg = write_config(tmp_path, model={"kind": "nelson", "g": 1.0, "m": 1},
+                       run=run, output={"dir": str(tmp_path / "out")})
+    monkeypatch.setattr(cli.analysis, "regularity_scan",
+                        lambda *args, **kwargs: pytest.fail("scan started"))
+    assert cli.main(["scan", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run]") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def _assert_oversized_refused(tmp_path, capsys, name, seconds):
     cfg = os.path.join(os.path.dirname(__file__), "..", "configs", name)
     start = time.perf_counter()

@@ -42,6 +42,24 @@ class TestBuildGrid:
         g3 = build_grid(GridSpec(3, 6, 3.0))
         assert np.all(np.abs(g3.transfer * g3.h) <= np.abs(g3.coords) + 1e-12)
 
+    @pytest.mark.parametrize("d,n,k_max", [
+        (1, 2, 1.0), (1, 10, 3.3), (2, 4, 2.0), (2, 16, 0.7), (3, 6, 3.3), (3, 48, 13.0),
+    ])
+    def test_node_tables_match_elementwise_formulas(self, d, n, k_max):
+        # the tables evaluated on (Q, d) meshgrid arrays, bit for bit
+        g = build_grid(GridSpec(d, n, k_max))
+        coords = np.stack([a.ravel() for a in np.meshgrid(*[g.axis] * d, indexing="ij")],
+                          axis=1)
+        index = np.stack([a.ravel() for a in np.meshgrid(*[np.arange(n)] * d,
+                                                         indexing="ij")], axis=1)
+        want = {"coords": coords, "axis_index": index,
+                "norms": np.sqrt((coords**2).sum(axis=1)),
+                "transfer": np.trunc(coords / g.h).astype(np.int64)}
+        for name, ref in want.items():
+            got = getattr(g, name)
+            np.testing.assert_array_equal(got, ref, err_msg=name)
+            assert got.dtype == ref.dtype and got.flags.c_contiguous, name
+
     def test_cutoff_mask(self):
         g = build_grid(GridSpec(2, 4, 2.0))
         assert g.cutoff_mask(None).all()
