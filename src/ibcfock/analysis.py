@@ -15,11 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, gmres
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, gmres, svds
 
 from . import __version__, ops
 from . import model as model_mod
-from .grid import FockVector, GridSpec, build_grid
+from .grid import FockVector, GridSpec, SpaceTooLarge, build_grid
 
 __all__ = [
     "NoConvergence",
@@ -59,7 +59,7 @@ def _run_cells(tasks, threads=1):
 # resolvent solver
 # --------------------------------------------------------------------------
 
-def resolvent_solve(op, z, psi, tol=1e-8, maxiter=2000):
+def resolvent_solve(op, z, psi, tol=1e-8):
     """Solve (op + z) x = psi iteratively on the handle's matrix.
 
     op must be hermitian (selfadjoint_claim) and Im z nonzero, so the
@@ -96,7 +96,7 @@ def resolvent_solve(op, z, psi, tol=1e-8, maxiter=2000):
         nonlocal iters
         iters += 1
 
-    x, _ = gmres(A, b, rtol=0.1 * tol, atol=0.0, restart=80, maxiter=maxiter,
+    x, _ = gmres(A, b, rtol=0.1 * tol, atol=0.0, restart=80, maxiter=2000,
                  M=M, callback=count, callback_type="pr_norm")
     res = np.linalg.norm(matvec(x) - b)
     if res > tol * bnorm:
@@ -411,39 +411,26 @@ def regularity_scan(model, cutoff_ladder, etas, probe_width=1.0, tol=0.03,
 # sector norms and growth exponents
 # --------------------------------------------------------------------------
 
-def sector_norm_estimate(op, n, iters=400, rtol=1e-9, seed=0):
+def sector_norm_estimate(op, n):
     """Largest singular value of an operator block leaving sector n.
 
-    Power iteration on the normal operator adj(op) o op restricted to
-    sector n, in the weighted inner product.  Raises NoConvergence when
-    the estimate has not stabilized after `iters` steps.
+    The exact 2-norm of the column block of sector n of the handle's
+    matrix, in the orthonormal flat basis.  ARPACK runs from a fixed
+    random start vector, so the value is reproducible and no symmetry of
+    the start hides the top singular vector.  Raises NoConvergence when
+    ARPACK fails.
     """
     space = op.space
     if space.dims[n] == 0:
         raise ValueError(f"sector {n} is empty")
-    rng = np.random.default_rng(seed)
-    v = FockVector.zero(space)
-    shape = v.sectors[n].shape
-    v.sectors[n] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v = (1.0 / v.norm()) * v
-    sigma = 0.0
-    for it in range(iters):
-        w = op.apply(v)
-        u = op.adjoint_apply(w)
-        # keep the iteration inside the sector
-        for m in range(space.n_max + 1):
-            if m != n:
-                u.sectors[m][:] = 0.0
-        lam = u.norm()
-        if lam == 0.0:
-            return 0.0
-        new_sigma = math.sqrt(lam)
-        v = (1.0 / lam) * u
-        if it > 2 and abs(new_sigma - sigma) <= rtol * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    raise NoConvergence(f"sector norm estimate did not settle after {iters} steps",
-                        iterations=iters)
+    off = np.cumsum([0] + space.dims)
+    block = op.matrix[:, off[n]:off[n + 1]]
+    start = np.random.default_rng(0).standard_normal(min(block.shape))
+    try:
+        sigma = svds(block, k=1, v0=start, return_singular_vectors=False)[0]
+    except ArpackError as exc:                  # ArpackNoConvergence included
+        raise NoConvergence(f"sector norm of sector {n} failed: {exc}") from exc
+    return float(sigma)
 
 
 def fit_growth_exponent(ns, values):
@@ -458,24 +445,32 @@ def fit_growth_exponent(ns, values):
 # --------------------------------------------------------------------------
 
 def ground_energy(model, space, mode=ops.DiagonalMode.GRID_CONSISTENT, k=1,
-                  cutoff=None, method="auto", cap=ops.DENSE_CAP, tol=1e-8):
+                  cutoff=None, method="auto", tol=1e-8):
     """The k lowest eigenvalues of the boundary-condition Hamiltonian.
 
-    Dense diagonalization under the dimension cap; otherwise an iterative
+    Dense diagonalization up to ops.DENSE_CAP; otherwise an iterative
     extremal eigensolver on the sparse matrix with tolerance `tol`, whose
     eigenpairs are checked on their true residuals
-    ||H v - lambda v|| <= tol * max(1, |lambda|).
+    ||H v - lambda v|| <= tol * max(1, |lambda|).  A Lanczos basis that
+    would not fit in ops.ASSEMBLY_BUDGET_BYTES is refused with
+    SpaceTooLarge before the Hamiltonian is built.
     """
-    h = ops.hamiltonian(model, space, mode, cutoff)
     dim = space.total_dim
-    if method == "dense" or (method == "auto" and dim <= cap):
-        mat = ops.assemble_dense(h, cap)
-        vals = np.linalg.eigvalsh(mat)
+    dense = method == "dense" or (method == "auto" and dim <= ops.DENSE_CAP)
+    basis_bytes = min(dim, max(2 * k + 1, 20)) * dim * 8    # eigsh's default ncv
+    if not dense and basis_bytes > ops.ASSEMBLY_BUDGET_BYTES:
+        raise SpaceTooLarge(
+            f"the Lanczos basis of a Fock space of dimension {dim} needs about "
+            f"{basis_bytes / 2**30:.3g} GiB, over the limit of "
+            f"{ops.ASSEMBLY_BUDGET_BYTES / 2**30:.3g} GiB")
+    h = ops.hamiltonian(model, space, mode, cutoff)
+    if dense:
+        vals = np.linalg.eigvalsh(ops.assemble_dense(h))
         return [float(v) for v in vals[:k]]
 
     try:
         vals, vecs = eigsh(h.matrix, k=k, which="SA", tol=tol)
-    except Exception as exc:  # ArpackNoConvergence and friends
+    except ArpackError as exc:                  # ArpackNoConvergence included
         raise NoConvergence(f"extremal eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
     for lam, v in zip(vals[order], vecs.T[order]):

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__, analysis, model as model_mod, ops, quad
 from .grid import FockSpace, GridSpec, SpaceTooLarge, build_grid
@@ -289,23 +290,30 @@ def cmd_flow(cfg):
     return 0
 
 
-def cmd_scan(cfg):
-    if cfg.model.M != 1:
-        raise ConfigError(f"[model] scan supports m = 1 only, got m = {cfg.model.M}")
-    ladder = _floats(cfg.run.get("ladder", "4 8 16 32"))
+def _check_ladder(ladder, points_per_unit):
+    """ConfigError unless the cutoff ladder is a nonempty, strictly
+    increasing list of positive rungs whose first rung has at least 2
+    grid points per axis at points_per_unit."""
     if not ladder:
         raise ConfigError("[run] ladder must not be empty")
     if not all(0 < k < float("inf") for k in ladder):
         raise ConfigError(f"[run] ladder rungs must be positive, got {ladder}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"[run] ladder must be strictly increasing, got {ladder}")
+    if 2 * ladder[0] * points_per_unit < 1:
+        raise ConfigError(f"[run] ladder rung {ladder[0]:g} gives fewer than 2 points "
+                          f"per axis at {points_per_unit:g} points per unit")
+
+
+def cmd_scan(cfg):
+    if cfg.model.M != 1:
+        raise ConfigError(f"[model] scan supports m = 1 only, got m = {cfg.model.M}")
+    ladder = _floats(cfg.run.get("ladder", "4 8 16 32"))
     ppu = cfg.run.get("points_per_unit")
     ppu = float(ppu) if ppu else None
     if ppu is not None and not 0 < ppu < float("inf"):
         raise ConfigError(f"[run] points_per_unit must be positive, got {ppu:g}")
-    if 2 * ladder[0] * (ppu or 1.0) < 1:
-        raise ConfigError(f"[run] ladder rung {ladder[0]:g} gives fewer than 2 "
-                          "points per axis; raise it or points_per_unit")
+    _check_ladder(ladder, ppu or 1.0)
     etas = _floats(cfg.run.get("etas", ""))
     if not etas:
         raise ConfigError("[run] scan needs an etas list")
@@ -354,6 +362,7 @@ def cmd_spectrum(cfg):
     if ladder:
         base = cfg.grid or GridSpec(cfg.model.d, 4, 2.0)
         ppu = base.points_per_axis / (2.0 * base.k_max)
+        _check_ladder(ladder, ppu)
         for k_max in ladder:
             points = int(round(2 * k_max * ppu))
             points += points % 2
@@ -393,15 +402,15 @@ def cmd_identity_check(cfg):
         ops.apply_creation(mdl, space, None, psi))
     defects["boundary_map_factorization"] = (bmap - alt).norm() / max(psi.norm(), 1.0)
 
-    hd = ops.assemble_dense(ops.hamiltonian(mdl, space, cfg.mode))
-    defects["hermiticity"] = float(np.abs(hd - hd.conj().T).max())
+    h = ops.hamiltonian(mdl, space, cfg.mode).matrix
+    defects["hermiticity"] = float(abs(h - h.T).max())
     if mdl.is_renormalisable and cfg.mode is ops.DiagonalMode.GRID_CONSISTENT:
-        hl = ops.assemble_dense(ops.cutoff_hamiltonian(mdl, space))
+        hl = ops.cutoff_hamiltonian(mdl, space).matrix
         e = ops.counterterm_grid(mdl, space, None)
         defects["headline_identity"] = float(
-            np.abs(hd - hl - e * np.eye(space.total_dim)).max())
-        to = ops.assemble_dense(ops.contact_offdiagonal(mdl, space))
-        defects["offdiagonal_hermiticity"] = float(np.abs(to - to.conj().T).max())
+            abs(h - hl - e * sp.eye_array(space.total_dim)).max())
+        t = ops.contact_offdiagonal(mdl, space).matrix
+        defects["offdiagonal_hermiticity"] = float(abs(t - t.T).max())
 
     tol = float(cfg.run.get("tol", 1e-10))
     worst = max(defects.values())

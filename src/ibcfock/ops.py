@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,11 +140,6 @@ class OperatorHandle:
             return FockVector(self.space,
                               [f * s for f, s in zip(self.factors, psi.sectors)])
         return FockVector.unflatten(self.space, matvec(self.matrix, psi.flatten()))
-
-    def adjoint_apply(self, psi):
-        if self.selfadjoint_claim:
-            return self.apply(psi)
-        return FockVector.unflatten(self.space, matvec(self.matrix.T, psi.flatten()))
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +445,8 @@ def apply_boundary_map(model, space, cutoff, psi):
 
 def apply_boundary_map_adjoint(model, space, cutoff, psi):
     """Adjoint of the singular-part map: -g * annihilation o (free inverse)."""
-    return boundary_map(model, space, cutoff).adjoint_apply(psi)
+    return OperatorHandle(_boundary_matrix(model, space, cutoff).T, False, model,
+                          space).apply(psi)
 
 
 # --------------------------------------------------------------------------
@@ -478,8 +473,7 @@ class ContactDiagonalCache:
     Buckets are squares of side `bucket` (default: grid spacing / 4);
     values at bucket corners are computed once by quadrature and stored;
     queries are answered by bilinear interpolation between the four
-    surrounding corners.  Insertion is locked for concurrent use;
-    last-writer-wins is harmless because corner values are deterministic.
+    surrounding corners.
     """
 
     def __init__(self, model, bucket, tol=1e-8):
@@ -489,21 +483,14 @@ class ContactDiagonalCache:
         self.bucket = float(bucket)
         self.tol = tol
         self._store = {}
-        self._lock = threading.Lock()
 
     def corner_value(self, ip, ie):
         """Kernel value at a bucket corner (exact, memoized)."""
         key = (int(ip), int(ie))
-        with self._lock:
-            cached = self._store.get(key)
-        if cached is not None:
-            return cached
-        val = quad.regularized_subtracted_integral(
-            self.model, key[0] * self.bucket, key[1] * self.bucket, self.tol
-        )
-        with self._lock:
-            self._store[key] = val
-        return val
+        if key not in self._store:
+            self._store[key] = quad.regularized_subtracted_integral(
+                self.model, key[0] * self.bucket, key[1] * self.bucket, self.tol)
+        return self._store[key]
 
     def get_many(self, p_norms, envs):
         """Vectorized bilinear lookup; arrays of equal shape."""

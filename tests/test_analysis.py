@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from ibcfock import analysis, model, ops
-from ibcfock.grid import FockSpace, FockVector, GridSpec, build_grid
+from ibcfock.grid import FockSpace, FockVector, GridSpec, SpaceTooLarge, build_grid
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +252,7 @@ class TestSectorNorms:
     def test_diagonal_max(self, small_setup):
         m, space = small_setup
         free = ops.free_multiplier(m, space, 1.0)
-        est = analysis.sector_norm_estimate(free, 1, seed=3)
+        est = analysis.sector_norm_estimate(free, 1)
         assert est == pytest.approx(space.free_values(m, 1).max(), rel=1e-6)
 
     def test_against_dense_singular_value(self, small_setup):
@@ -263,7 +263,7 @@ class TestSectorNorms:
         block = bd[offsets[1]:offsets[2], offsets[0]:offsets[1]]
         sv = np.linalg.svd(block, compute_uv=False)[0]
         est = analysis.sector_norm_estimate(b, 0)
-        assert est == pytest.approx(sv, rel=1e-2)
+        assert est == pytest.approx(sv, rel=1e-12)
 
     def test_growth_exponent_fit(self):
         ns = [1, 2, 3, 4]
@@ -301,6 +301,25 @@ class TestGroundEnergy:
 
         monkeypatch.setattr(analysis, "eigsh", bad_eigsh)
         with pytest.raises(analysis.NoConvergence):
+            analysis.ground_energy(m, space, k=1, method="iterative")
+
+    def test_lanczos_basis_over_budget_is_refused(self, small_setup, monkeypatch):
+        m, space = small_setup
+        basis_bytes = 20 * space.total_dim * 8          # eigsh's 20 Lanczos vectors
+        monkeypatch.setattr(ops, "ASSEMBLY_BUDGET_BYTES", basis_bytes - 1)
+        monkeypatch.setattr(analysis, "eigsh",
+                            lambda *args, **kwargs: pytest.fail("eigsh called"))
+        with pytest.raises(SpaceTooLarge, match="Lanczos basis"):
+            analysis.ground_energy(m, space, k=1, method="iterative")
+
+    def test_memory_error_is_not_no_convergence(self, small_setup, monkeypatch):
+        m, space = small_setup
+
+        def oom_eigsh(*args, **kwargs):
+            raise MemoryError("no room for the Lanczos vectors")
+
+        monkeypatch.setattr(analysis, "eigsh", oom_eigsh)
+        with pytest.raises(MemoryError):
             analysis.ground_energy(m, space, k=1, method="iterative")
 
     def test_bounded_below_along_refinement(self):

@@ -146,6 +146,15 @@ class TestIdentityCheck:
         assert payload["defects"]["headline_identity"] < 1e-10
         assert "resolved_config" in payload and "config_ini" in payload
 
+    def test_shipped_flow_config_has_no_dense_ceiling(self, tmp_path):
+        # dim 137,280, beyond ops.DENSE_CAP: the checks read the sparse matrices
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "delta2d_flow.ini")
+        assert cli.main(["identity-check", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["identity_check.csv",
+                                                "identity_check.json"]
+
 
 class TestSelfEnergyCommand:
     def test_table(self, nelson_cfg, tmp_path, capsys):
@@ -258,15 +267,20 @@ def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, env, fl
     ("points_per_unit", "0"),
 ])
 def test_bad_scan_ladder_is_config_error(tmp_path, capsys, monkeypatch, key, value):
+    # spectrum checks the same ladder; it has no points_per_unit, and an
+    # empty ladder there means the single [grid]
+    commands = ["scan"] + (["spectrum"] if key == "ladder" and value else [])
     run = {"etas": "0.3", "ladder": "2, 4", key: value}
     cfg = write_config(tmp_path, model={"kind": "nelson", "g": 1.0, "m": 1},
                        run=run, output={"dir": str(tmp_path / "out")})
     monkeypatch.setattr(cli.analysis, "regularity_scan",
                         lambda *args, **kwargs: pytest.fail("scan started"))
-    assert cli.main(["scan", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: [run]") and key in err
-    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(cli, "FockSpace", lambda *args: pytest.fail("space built"))
+    for command in commands:
+        assert cli.main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [run]") and key in err
+        assert not (tmp_path / "out").exists()
 
 
 def _assert_oversized_refused(tmp_path, capsys, name, seconds):
