@@ -15,7 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, gmres, svds
+import scipy.sparse as sp
+# gmres is unused; perfbench/tracing.py patches it by name until benchmark v2
+from scipy.sparse.linalg import ArpackError, eigsh, gmres, splu, svds  # noqa: F401
 
 from . import __version__, ops
 from . import model as model_mod
@@ -37,9 +39,8 @@ __all__ = [
 
 
 class NoConvergence(RuntimeError):
-    def __init__(self, message, iterations=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.iterations = iterations
         self.residual = residual
 
 
@@ -59,52 +60,57 @@ def _run_cells(tasks, threads=1):
 # resolvent solver
 # --------------------------------------------------------------------------
 
-def resolvent_solve(op, z, psi, tol=1e-8):
-    """Solve (op + z) x = psi iteratively on the handle's matrix.
+def resolvent_solve(op, z, psis, tol=1e-8):
+    """Solve (op + z) x = psi for every psi in psis with one sparse LU.
 
-    op must be hermitian (selfadjoint_claim) and Im z nonzero, so the
-    shifted operator is boundedly invertible.  GMRES is run in the
-    orthonormalized coefficients with the shifted free part as a diagonal
-    preconditioner; the returned x satisfies
-    ||(op + z) x - psi|| <= tol * ||psi||, verified on the true residual.
+    op must be hermitian and Im z nonzero.  The block of op.matrix on the
+    top sector n_max is diagonal, d_t (its kernels would pass through
+    sector n_max + 1), so the top sector is eliminated exactly: SuperLU
+    factors S = A_ll + z - A_lt diag(1 / (d_t + z)) A_lt^T on the sectors
+    below n_max, and the top sector follows by one diagonal division.  A
+    top block that is not diagonal raises ValueError; an LU over
+    ops.ASSEMBLY_BUDGET_BYTES is refused with SpaceTooLarge before it is
+    computed.  Returns the solutions as FockVectors and their true
+    residuals ||(op + z) x - psi||, each <= tol ||psi|| (else NoConvergence).
     """
     if not op.selfadjoint_claim:
         raise ValueError("resolvent_solve expects a hermitian operator handle")
     if z.imag == 0:
         raise ValueError("shift must have nonzero imaginary part")
-    space = op.space
-    b = psi.flatten()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return FockVector.zero(space)
+    space, mat, n = op.space, op.matrix, op.space.total_dim
+    top = n - space.dims[-1]                    # first flat index of sector n_max
+    cols, ptr = mat.indices[mat.indptr[top]:], mat.indptr[top:]
+    if np.any((cols >= top) & (cols != np.repeat(np.arange(top, n), np.diff(ptr)))):
+        raise ValueError("the top-sector block of the operator is not diagonal")
+    d_t = (mat.diagonal()[top:] + z)[:, None]
 
-    mat = op.matrix
+    b = np.empty((n, len(psis)), dtype=complex)
+    for j, psi in enumerate(psis):
+        b[:, j] = psi.flatten()
+    x = np.empty_like(b)
+    x[top:] = b[top:] / d_t
+    if top:
+        a_lt = mat[:top, top:]                  # A_tl = A_lt^T: the matrix is symmetric
+        schur = sp.csc_array(mat[:top, :top] + z * sp.eye_array(top)
+                             - a_lt @ sp.diags_array(1.0 / d_t[:, 0]) @ a_lt.T)
+        # allow 12 LU entries per entry of S, above the largest fill measured
+        # (9.7), of 24 bytes each: a complex128 value and its index
+        need = schur.nnz * 12 * 24
+        if need > ops.ASSEMBLY_BUDGET_BYTES:
+            raise SpaceTooLarge(f"the sparse LU of a Schur complement with {schur.nnz} "
+                                f"entries needs about {need / 2**30:.3g} GiB, over the "
+                                f"limit of {ops.ASSEMBLY_BUDGET_BYTES / 2**30:.3g} GiB")
+        x[:top] = splu(schur, permc_spec="MMD_AT_PLUS_A").solve(
+            b[:top] - ops.matvec(a_lt, x[top:]))
+        x[top:] -= ops.matvec(a_lt.T, x[:top]) / d_t
 
-    def matvec(x):
-        return ops.matvec(mat, x) + z * x
-
-    n = space.total_dim
-    A = LinearOperator((n, n), matvec=matvec, dtype=complex)
-    M = None
-    if op.model is not None:
-        diag = ops.flat_free_values(op.model, space) + z
-        M = LinearOperator((n, n), matvec=lambda x: x / diag, dtype=complex)
-
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, _ = gmres(A, b, rtol=0.1 * tol, atol=0.0, restart=80, maxiter=2000,
-                 M=M, callback=count, callback_type="pr_norm")
-    res = np.linalg.norm(matvec(x) - b)
-    if res > tol * bnorm:
-        raise NoConvergence(
-            f"resolvent solve stalled at residual {res:.3e} (target {tol * bnorm:.3e})",
-            iterations=iters, residual=res,
-        )
-    return FockVector.unflatten(space, x)
+    res = np.linalg.norm(ops.matvec(mat, x) + z * x - b, axis=0)
+    target = tol * np.linalg.norm(b, axis=0)
+    if np.any(res > target):
+        j = int(np.argmax(res > target))
+        raise NoConvergence(f"resolvent solve of right-hand side {j} reached residual "
+                            f"{res[j]:.3e} (target {target[j]:.3e})", residual=res[j])
+    return [FockVector.unflatten(space, x[:, j]) for j in range(len(psis))], res
 
 
 # --------------------------------------------------------------------------
@@ -193,6 +199,9 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
     A ladder value >= k_max (or None) saturates to the full grid: on the
     finite box the full node set is the ultraviolet completion, and there
     the reference is reproduced exactly up to solver tolerance.
+
+    One factorization per operator solves every probe, so the flow has no
+    independent cells and `threads` is ignored.
     """
     if not model.is_renormalisable:
         raise ValueError("the renormalization flow needs a renormalisable model")
@@ -209,9 +218,9 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
     # Each operator is dropped before the next is built, and its solutions
     # live only inside one helper call, so that the run never holds two
     # operators or two sets of solutions at once.
-    refs = _solve_probes(
+    refs, _ = resolvent_solve(
         ops.hamiltonian(model, space, ops.DiagonalMode.GRID_CONSISTENT, None),
-        probes, tol, threads)
+        1j, probes, tol)
 
     e_grid, e_cont, rows, residuals = [], [], [], []
     for lam in lams:
@@ -219,9 +228,8 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
         e_grid.append(e)
         e_cont.append(model_mod.self_energy(
             model, lam if lam is not None else _grid_radius(space.grid)))
-        h_reg = ops.shifted(ops.cutoff_hamiltonian(model, space, lam), e)
-        errs, ress = _cutoff_errors(h_reg, probes, refs, tol, threads)
-        del h_reg
+        errs, ress = _cutoff_errors(
+            ops.shifted(ops.cutoff_hamiltonian(model, space, lam), e), probes, refs, tol)
         rows.append(errs)
         residuals.append(ress)
 
@@ -234,20 +242,10 @@ def renorm_flow(model, space, lambdas, probes=3, tol=1e-8, probe_width=None,
     )
 
 
-def _solve_probes(op, probes, tol, threads):
-    return _run_cells([lambda p=p: resolvent_solve(op, 1j, p, tol) for p in probes],
-                      threads)
-
-
-def _cutoff_errors(op, probes, refs, tol, threads):
-    """Distances of the resolvents of op to the references, and the true
-    solver residuals, per probe."""
-    errs, ress = [], []
-    for p, sol, ref in zip(probes, _solve_probes(op, probes, tol, threads), refs):
-        errs.append((sol - ref).norm())
-        x = sol.flatten()
-        ress.append(np.linalg.norm(ops.matvec(op.matrix, x) + 1j * x - p.flatten()))
-    return errs, ress
+def _cutoff_errors(op, probes, refs, tol):
+    """Resolvent distances of op to the references, and true residuals, per probe."""
+    sols, ress = resolvent_solve(op, 1j, probes, tol)
+    return [(sol - ref).norm() for sol, ref in zip(sols, refs)], ress
 
 
 def _grid_radius(grid):

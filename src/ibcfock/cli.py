@@ -161,6 +161,8 @@ def load_config(path, overrides=None):
         for key, conv in (("probes", int), ("eigenvalues", int), ("probe_seed", int),
                           ("cauchy_tol", float), ("growth_threshold", float)):
             _number(cp["run"], key, conv, None)
+        if _number(cp["run"], "eigenvalues", int, 1) < 1:
+            raise ConfigError(f"[run] eigenvalues = {run['eigenvalues']} must be >= 1")
         if run.get("points_per_unit"):
             _number(cp["run"], "points_per_unit", float, None)
     lists = {key: _floats(run[key], f"[run] {key}")

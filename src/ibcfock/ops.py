@@ -107,15 +107,17 @@ class DimensionCap(RuntimeError):
 
 
 def matvec(mat, x):
-    """mat @ x for a real operator and a real or complex vector x.
+    """mat @ x for a real operator and a real or complex vector, or (n, k)
+    block of vectors, x.
 
-    A complex x is applied as its (n, 2) real view, so the real matrix is
+    A complex x is applied as its (n, 2k) real view, so the real matrix is
     never copied to complex.
     """
     if not np.iscomplexobj(x):
         return mat @ x
-    pairs = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
-    return np.ascontiguousarray(mat @ pairs).view(complex).ravel()
+    pairs = np.ascontiguousarray(x, dtype=complex).view(float).reshape(x.shape[0], -1)
+    out = np.ascontiguousarray(mat @ pairs).view(complex)
+    return out.reshape(mat.shape[0], *x.shape[1:])
 
 
 @dataclass

@@ -22,7 +22,7 @@ class TestResolventSolve:
         m, space = small_setup
         free = ops.free_multiplier(m, space, 1.0)
         psi = FockVector.random(space, 1)
-        x = analysis.resolvent_solve(free, 1j, psi, tol=1e-10)
+        [x], _ = analysis.resolvent_solve(free, 1j, [psi], tol=1e-10)
         closed = FockVector(space, [
             psi.sectors[n] / (space.free_values(m, n) + 1j)
             for n in range(space.n_max + 1)])
@@ -33,7 +33,7 @@ class TestResolventSolve:
         m, space = small_setup
         h = ops.hamiltonian(m, space)
         psi = FockVector.random(space, 2)
-        x = analysis.resolvent_solve(h, 1j, psi, tol=1e-9)
+        [x], _ = analysis.resolvent_solve(h, 1j, [psi], tol=1e-9)
         assert x.norm() <= psi.norm() * (1 + 1e-9)
 
     def test_against_dense_solve(self, small_setup):
@@ -41,7 +41,7 @@ class TestResolventSolve:
         h = ops.hamiltonian(m, space)
         hd = ops.assemble_dense(h)
         b = FockVector.random(space, 3)
-        x = analysis.resolvent_solve(h, 1j, b, tol=1e-10)
+        [x], _ = analysis.resolvent_solve(h, 1j, [b], tol=1e-10)
         x_dense = np.linalg.solve(hd + 1j * np.eye(space.total_dim), b.flatten())
         assert np.linalg.norm(x.flatten() - x_dense) < 1e-8 * np.linalg.norm(x_dense)
 
@@ -50,7 +50,7 @@ class TestResolventSolve:
         h = ops.hamiltonian(m, space)
         psi = FockVector.random(space, 4)
         tol = 1e-8
-        x = analysis.resolvent_solve(h, 1j, psi, tol=tol)
+        [x], _ = analysis.resolvent_solve(h, 1j, [psi], tol=tol)
         res = (h.apply(x) + 1j * x - psi).norm()
         assert res <= tol * psi.norm()
 
@@ -58,7 +58,52 @@ class TestResolventSolve:
         m, space = small_setup
         h = ops.hamiltonian(m, space)
         with pytest.raises(ValueError):
-            analysis.resolvent_solve(h, complex(1.0, 0.0), FockVector.random(space, 5))
+            analysis.resolvent_solve(h, complex(1.0, 0.0), [FockVector.random(space, 5)])
+
+    @pytest.mark.parametrize("M,n_max", [(1, 0), (1, 1), (1, 2), (2, 2)])
+    def test_block_against_dense_solve(self, M, n_max):
+        m = model.delta2d(g=0.8, M=M)
+        space = FockSpace(build_grid(GridSpec(2, 2, 1.5)), M, n_max)
+        h = ops.hamiltonian(m, space)
+        psis = [FockVector.random(space, seed) for seed in range(3)]
+        xs, res = analysis.resolvent_solve(h, 1j, psis, tol=1e-10)
+        b = np.stack([p.flatten() for p in psis], axis=1)
+        ref = np.linalg.solve(ops.assemble_dense(h) + 1j * np.eye(space.total_dim), b)
+        got = np.stack([x.flatten() for x in xs], axis=1)
+        assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
+        assert res.shape == (3,)
+        assert (res <= 1e-10 * np.linalg.norm(b, axis=0)).all()
+
+    def test_block_equals_column_solves(self, small_setup):
+        m, space = small_setup
+        h = ops.hamiltonian(m, space)
+        psis = [FockVector.random(space, seed) for seed in (6, 7, 8)]
+        xs, res = analysis.resolvent_solve(h, 1j, psis)
+        for psi, x, r in zip(psis, xs, res):
+            [y], [ry] = analysis.resolvent_solve(h, 1j, [psi])
+            assert (x - y).norm() <= 1e-15 * y.norm()
+            assert abs(r - ry) <= 1e-15 * psi.norm()
+
+    def test_rejects_off_diagonal_top_block(self, small_setup):
+        m, space = small_setup
+        n = space.total_dim
+        couple = sp.coo_array(([0.5, 0.5], ([n - 1, n - 2], [n - 2, n - 1])), shape=(n, n))
+        h = ops.OperatorHandle(sp.csr_array(ops.hamiltonian(m, space).matrix + couple),
+                               True, m, space)
+        with pytest.raises(ValueError, match="not diagonal"):
+            analysis.resolvent_solve(h, 1j, [FockVector.random(space, 9)])
+
+    def test_factor_over_budget_is_refused(self, small_setup, monkeypatch):
+        m, space = small_setup
+        h = ops.hamiltonian(m, space)
+        monkeypatch.setattr(ops, "ASSEMBLY_BUDGET_BYTES", 1000)
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("splu called over the budget")
+
+        monkeypatch.setattr(analysis, "splu", no_factor)
+        with pytest.raises(SpaceTooLarge, match="sparse LU"):
+            analysis.resolvent_solve(h, 1j, [FockVector.random(space, 10)])
 
 
 class TestProbes:

@@ -235,6 +235,20 @@ class TestSpectrumCommand:
         assert len(vals) == 2 and vals[0] <= vals[1]
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_eigenvalue_count_is_config_error(small_delta_cfg, tmp_path, capsys,
+                                                      value):
+    cfg = configparser.ConfigParser()
+    cfg.read(small_delta_cfg)
+    cfg["run"]["eigenvalues"] = value
+    with open(small_delta_cfg, "w") as fh:
+        cfg.write(fh)
+    out_dir = tmp_path / "sp"
+    assert cli.main(["spectrum", "--config", small_delta_cfg, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [run] eigenvalues = {value}")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("env,flag", [
     ("abc", None),
     ("0", None),

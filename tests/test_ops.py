@@ -492,6 +492,36 @@ class TestHamiltonians:
         assert (lhs - rhs).norm() < 1e-12 * (lhs.norm() + 1.0)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+@pytest.mark.parametrize("M", [1, 2])
+@pytest.mark.parametrize("kind", ["delta2d", "nelson", "froehlich"])
+def test_top_sector_block_is_diagonal(kind, M, n_max):
+    # the kernels that would couple two states of sector n_max pass through
+    # sector n_max + 1, so every stored entry of the top sector's block lies
+    # on the diagonal; the direct resolvent solve rests on it
+    if kind == "delta2d":
+        # 4 points per axis: on 2 the source-exchange transfers all vanish
+        m, spec = model.delta2d(g=0.7, M=M), GridSpec(2, 4, 2.0)
+    else:
+        m, spec = getattr(model, kind)(g=0.6, M=M), GridSpec(3, 2, 1.0)
+    space = FockSpace(build_grid(spec), M, n_max)
+    lam = 0.5 * spec.k_max
+    handles = {
+        "hamiltonian grid": ops.hamiltonian(m, space),
+        "hamiltonian continuum": ops.hamiltonian(m, space, ops.DiagonalMode.CONTINUUM),
+        "cutoff_hamiltonian at lambda": ops.cutoff_hamiltonian(m, space, lam),
+        "cutoff_hamiltonian full grid": ops.cutoff_hamiltonian(m, space),
+        "shifted cutoff_hamiltonian": ops.shifted(ops.cutoff_hamiltonian(m, space, lam),
+                                                  ops.counterterm_grid(m, space, lam)),
+        "contact_term": ops.contact_term(m, space),
+    }
+    top = space.total_dim - space.dims[-1]
+    for name, h in handles.items():
+        coo = h.matrix.tocoo()
+        in_top = (coo.row >= top) & (coo.col >= top)
+        assert np.array_equal(coo.row[in_top], coo.col[in_top]), name
+
+
 class TestDenseAssembly:
     def test_identity_handle(self, micro_setup):
         m, space = micro_setup
