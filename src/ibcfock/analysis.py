@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,18 +41,6 @@ class NoConvergence(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-def _run_cells(tasks, threads=1):
-    """Evaluate a list of thunks, optionally on a thread pool.
-
-    Results are returned in task order regardless of completion order.
-    """
-    if threads <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 # --------------------------------------------------------------------------
@@ -296,8 +283,8 @@ class RegularityReport:
         return "\n".join(lines) + "\n"
 
 
-def _scan_norm_squared(model, grid, eta, probe_q, probe_vals):
-    """|| L^eta B psi ||^2 for a zero-boson probe with one source.
+def _scan_norm_squared(model, grid, etas, probe_q, probe_vals):
+    """|| L^eta B psi ||^2 for a zero-boson probe with one source, per eta.
 
     The boundary map of a zero-boson state lives in the one-boson sector
     with coefficients -g vhat(k) psi(P + t(k)) / L(P, k); substituting
@@ -306,24 +293,30 @@ def _scan_norm_squared(model, grid, eta, probe_q, probe_vals):
         g^2 sum_q h^d |psi(q)|^2 sum_k h^d vhat(k)^2
             * L(q - t(k), k)^(2 eta - 2) * [q - t(k) in box] ,
 
-    evaluated here without materializing the sector.
+    evaluated here without materializing the sector.  The box test and
+    L(q - t(k), k) of each node q are formed once for all etas.
     """
     vhat, om = grid.tables(model)
+    vhat2 = vhat**2
     hd = grid.h**grid.d
     disp = grid.transfer * grid.h                 # (Q, d) displacement coords
     bound = grid.spec.k_max - grid.h / 2.0 + 1e-9
-    total = 0.0
+    powers = 2.0 * np.asarray(etas, dtype=float) - 2.0
+    total = np.zeros(len(powers))
     for q, amp2 in zip(probe_q, probe_vals):
         shifted = q[None, :] - disp               # (Q, d)
         inside = np.all(np.abs(shifted) <= bound, axis=1)
         lvals = (shifted**2).sum(axis=1) + om
-        contrib = (vhat**2 * np.where(inside, lvals ** (2.0 * eta - 2.0), 0.0)).sum()
-        total += amp2 * contrib
+        # the box is applied per eta, not kept as a weight array: one more
+        # grid-sized array alive across the loop doubled a single-eta
+        # scan's page faults
+        for i, power in enumerate(powers):
+            total[i] += amp2 * (np.where(inside, lvals ** power, 0.0) @ vhat2)
     return model.g**2 * hd * hd * total
 
 
 def regularity_scan(model, cutoff_ladder, etas, probe_width=1.0, tol=0.03,
-                    growth_threshold=0.05, points_per_unit=None, threads=1):
+                    growth_threshold=0.05, points_per_unit=None):
     """Ultraviolet ladder scan of || L^eta B psi || for a fixed smooth probe.
 
     cutoff_ladder is an increasing list of k_max values; every rung uses
@@ -380,12 +373,7 @@ def regularity_scan(model, cutoff_ladder, etas, probe_width=1.0, tol=0.03,
         probe_q = grid.coords[sel[first]]
         amp2 = np.bincount(inverse.ravel(), weights=amp2)
 
-        cells = [
-            (lambda eta=eta: _scan_norm_squared(model, grid, eta, probe_q, amp2))
-            for eta in etas
-        ]
-        col = _run_cells(cells, threads)
-        norm_table[:, j] = np.sqrt(np.asarray(col))
+        norm_table[:, j] = np.sqrt(_scan_norm_squared(model, grid, etas, probe_q, amp2))
 
     verdicts = []
     for i in range(len(etas)):

@@ -13,6 +13,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -41,7 +42,6 @@ class RunConfig:
     out_dir: str
     formats: tuple
     seed: int = 0
-    threads: int = 1
     mode: ops.DiagonalMode = ops.DiagonalMode.GRID_CONSISTENT
     raw: dict = field(default_factory=dict)
 
@@ -54,7 +54,6 @@ class RunConfig:
             },
             "run": {k: v for k, v in self.run.items()},
             "seed": self.seed,
-            "threads": self.threads,
             "mode": self.mode.value,
             "version": __version__,
         }
@@ -87,20 +86,6 @@ def _floats(text, where="list"):
         return [float(x) for x in text.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"{where} = '{text}' is not a list of numbers") from None
-
-
-def _threads(flag):
-    """Worker thread count from the --threads flag, else IBC_NUM_THREADS,
-    else 1; a value that is not an integer >= 1 is a ConfigError."""
-    where, text = (("--threads", flag) if flag is not None else
-                   ("IBC_NUM_THREADS", os.environ.get("IBC_NUM_THREADS", "1")))
-    try:
-        threads = int(text)
-    except ValueError:
-        raise ConfigError(f"{where} = '{text}' is not an integer") from None
-    if threads < 1:
-        raise ConfigError(f"{where} = {threads} must be >= 1")
-    return threads
 
 
 def _parse_model(section):
@@ -155,18 +140,23 @@ def load_config(path, overrides=None):
 
     run = dict(cp["run"]) if "run" in cp else {}
     for key in ("tol", "probe_width"):
-        if key in run and _number(cp["run"], key, float, None) <= 0:
-            raise ConfigError(f"[run] {key} must be positive")
+        if key in run and not 0 < _number(cp["run"], key, float, None) < float("inf"):
+            raise ConfigError(f"[run] {key} = {run[key]} must be finite and positive")
     if "run" in cp:      # the keys only the commands read, checked here too
         for key, conv in (("probes", int), ("eigenvalues", int), ("probe_seed", int),
                           ("cauchy_tol", float), ("growth_threshold", float)):
             _number(cp["run"], key, conv, None)
-        if _number(cp["run"], "eigenvalues", int, 1) < 1:
-            raise ConfigError(f"[run] eigenvalues = {run['eigenvalues']} must be >= 1")
+        for key in ("eigenvalues", "probes"):
+            if _number(cp["run"], key, int, 1) < 1:
+                raise ConfigError(f"[run] {key} = {run[key]} must be >= 1")
         if run.get("points_per_unit"):
             _number(cp["run"], "points_per_unit", float, None)
     lists = {key: _floats(run[key], f"[run] {key}")
              for key in ("lambdas", "etas", "ladder", "thetas", "p_values") if key in run}
+    if not all(0 <= lam < float("inf") for lam in lists.get("lambdas", [])):
+        raise ConfigError(f"[run] lambdas = {run['lambdas']} must be finite and >= 0")
+    if not all(math.isfinite(eta) for eta in lists.get("etas", [])):
+        raise ConfigError(f"[run] etas = {run['etas']} must be finite")
     if grid_spec is not None and "lambdas" in lists:
         lams = lists["lambdas"]
         if not lams:
@@ -189,14 +179,12 @@ def load_config(path, overrides=None):
 
     ov_seed = overrides.get("seed")
     seed = int(ov_seed if ov_seed is not None else run.get("probe_seed", 0))
-    threads = _threads(overrides.get("threads"))
     if overrides.get("out"):
         out_dir = overrides["out"]
 
     raw = {s: dict(cp[s]) for s in cp.sections()}
     return RunConfig(model=mdl, grid=grid_spec, n_max=n_max, run=run,
-                     out_dir=out_dir, formats=formats, seed=seed,
-                     threads=threads, mode=mode, raw=raw)
+                     out_dir=out_dir, formats=formats, seed=seed, mode=mode, raw=raw)
 
 
 def _write(cfg, name, json_text=None, csv_text=None):
@@ -281,8 +269,7 @@ def cmd_flow(cfg):
     lams = _floats(cfg.run["lambdas"])
     tol = float(cfg.run.get("tol", 1e-8))
     probes = int(cfg.run.get("probes", 3))
-    report = analysis.renorm_flow(cfg.model, space, lams, probes=probes, tol=tol,
-                                  threads=cfg.threads)
+    report = analysis.renorm_flow(cfg.model, space, lams, probes=probes, tol=tol)
     for j, lam in enumerate(report.lambdas):
         lam_txt = "full_grid" if lam is None else f"{lam:g}"
         print(f"lambda={lam_txt}: errors " +
@@ -325,7 +312,7 @@ def cmd_scan(cfg):
     growth = float(cfg.run.get("growth_threshold", 0.05))
     report = analysis.regularity_scan(cfg.model, ladder, etas, probe_width=width,
                                       tol=cauchy_tol, growth_threshold=growth,
-                                      points_per_unit=ppu, threads=cfg.threads)
+                                      points_per_unit=ppu)
     for eta, verdict in zip(report.etas, report.verdicts):
         print(f"eta={eta:g}: {verdict}")
     _write(cfg, "scan", json_text=_wrap_json(cfg, json.loads(report.to_json())),
@@ -451,15 +438,14 @@ def main(argv=None):
     parser.add_argument("--out", help="output directory (overrides [output] dir)")
     parser.add_argument("--seed", type=int, help="probe seed (overrides [run])")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (overrides IBC_NUM_THREADS)")
+                        help="accepted and ignored")
     parser.add_argument("--mode", choices=("grid", "continuum"),
                         help="diagonal contact-term mode")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config, overrides={
-            "out": args.out, "seed": args.seed, "threads": args.threads,
-            "mode": args.mode,
+            "out": args.out, "seed": args.seed, "mode": args.mode,
         })
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -172,6 +172,14 @@ class TestRenormFlow:
             analysis.renorm_flow(m, space, [0.5])
 
 
+# the etas sit on either side of each model's threshold
+SCAN_MODELS = pytest.mark.parametrize("spec,etas", [
+    (model.delta2d(g=0.9), [0.3, 0.7]),
+    (model.nelson(g=1.0), [0.3, 0.7]),
+    (model.froehlich(g=1.0), [0.5, 0.9]),
+], ids=["delta2d", "nelson", "froehlich"])
+
+
 class TestRegularityScan:
     def test_double_sum_matches_operator_route(self):
         # dual route: the scan's closed double sum against the literal
@@ -190,7 +198,7 @@ class TestRegularityScan:
             sel = np.arange(grid.n_nodes)
             amp2 = np.exp(-grid.norms**2 / sigma**2) / cont
             fast = math.sqrt(analysis._scan_norm_squared(
-                m, grid, eta, grid.coords[sel], amp2[sel]))
+                m, grid, [eta], grid.coords[sel], amp2[sel])[0])
             assert fast == pytest.approx(direct, rel=1e-12)
 
     @staticmethod
@@ -204,17 +212,12 @@ class TestRegularityScan:
             amp2 = np.exp(-grid.norms[sel] ** 2 / sigma**2) / cont
             for i, eta in enumerate(etas):
                 table[i, j] = math.sqrt(analysis._scan_norm_squared(
-                    m, grid, eta, grid.coords[sel], amp2))
+                    m, grid, [eta], grid.coords[sel], amp2)[0])
         return table
 
-    @pytest.mark.parametrize("spec,etas", [
-        (model.delta2d(g=0.9), [0.3, 0.7]),
-        (model.nelson(g=1.0), [0.3, 0.7]),
-        (model.froehlich(g=1.0), [0.5, 0.9]),
-    ], ids=["delta2d", "nelson", "froehlich"])
+    @SCAN_MODELS
     def test_orbit_reduction_matches_unreduced_sum(self, spec, etas):
-        # rungs 2 and 4 clip the probe radius 6 at k_max, rung 8 does not;
-        # the etas sit on either side of the model's threshold
+        # rungs 2 and 4 clip the probe radius 6 at k_max, rung 8 does not
         ladder = [2.0, 4.0, 8.0]
         rep = analysis.regularity_scan(spec, ladder, etas, probe_width=1.0)
         want = self._unreduced_table(spec, ladder, etas, 1.0)
@@ -228,12 +231,12 @@ class TestRegularityScan:
         sizes = []
         inner = analysis._scan_norm_squared
 
-        def counting(m, grid, eta, probe_q, probe_vals):
+        def counting(m, grid, etas, probe_q, probe_vals):
             sizes.append(len(probe_q))
-            return inner(m, grid, eta, probe_q, probe_vals)
+            return inner(m, grid, etas, probe_q, probe_vals)
 
         monkeypatch.setattr(analysis, "_scan_norm_squared", counting)
-        analysis.regularity_scan(spec, [4.0], [0.3])
+        analysis.regularity_scan(spec, [4.0], [0.3, 0.7])
         grid = build_grid(GridSpec(spec.d, 8, 4.0))
         nodes = {tuple(int(c) for c in np.rint(2 * x / grid.h))
                  for x in grid.coords[grid.norms <= 4.0]}
@@ -243,6 +246,15 @@ class TestRegularityScan:
                   & nodes for x in nodes}
         assert sizes == [len(orbits)]
         assert len(orbits) < len(nodes)
+
+    @SCAN_MODELS
+    def test_all_etas_in_one_pass_match_single_eta_scans(self, spec, etas):
+        ladder = [2.0, 4.0, 8.0]
+        rep = analysis.regularity_scan(spec, ladder, etas)
+        single = [analysis.regularity_scan(spec, ladder, [eta]) for eta in etas]
+        np.testing.assert_allclose(
+            rep.norm_table, np.vstack([r.norm_table for r in single]), rtol=1e-13, atol=0)
+        assert rep.verdicts == [r.verdicts[0] for r in single]
 
     def test_eta_zero_is_cauchy_for_every_model(self):
         for spec in (model.delta2d(), model.nelson(), model.froehlich()):

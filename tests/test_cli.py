@@ -146,6 +146,19 @@ class TestIdentityCheck:
         assert payload["defects"]["headline_identity"] < 1e-10
         assert "resolved_config" in payload and "config_ini" in payload
 
+    def test_threads_flag_is_ignored(self, small_delta_cfg, tmp_path):
+        for threads in ("1", "2"):
+            assert cli.main(["identity-check", "--config", small_delta_cfg, "--threads",
+                             threads, "--out", str(tmp_path / threads)]) == 0
+        for ext in ("csv", "json"):
+            one, two = (open(tmp_path / t / f"identity_check.{ext}").read()
+                        for t in ("1", "2"))
+            if ext == "json":
+                one, two = json.loads(one), json.loads(two)
+                one.pop("timestamp"), two.pop("timestamp")
+                assert "threads" not in one["resolved_config"]
+            assert one == two
+
     def test_shipped_flow_config_has_no_dense_ceiling(self, tmp_path):
         # dim 137,280, beyond ops.DENSE_CAP: the checks read the sparse matrices
         cfg = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -249,24 +262,25 @@ def test_nonpositive_eigenvalue_count_is_config_error(small_delta_cfg, tmp_path,
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("env,flag", [
-    ("abc", None),
-    ("0", None),
-    ("-2", None),
-    ("", None),
-    (None, "0"),
-    (None, "-4"),
+@pytest.mark.parametrize("command,key,value", [
+    ("flow", "lambdas", "-1, 2"),
+    ("flow", "lambdas", "nan"),
+    ("flow", "probes", "0"),
+    ("flow", "probes", "-2"),
+    ("flow", "tol", "nan"),
+    ("flow", "tol", "inf"),
+    ("scan", "etas", "nan"),
+    ("scan", "etas", "inf"),
+    ("scan", "probe_width", "nan"),
 ])
-def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, env, flag):
-    if env is not None:
-        monkeypatch.setenv("IBC_NUM_THREADS", env)
-    cfg = write_config(tmp_path, model={"kind": "delta2d"},
-                       output={"dir": str(tmp_path / "out")})
-    argv = ["validate", "--config", cfg] + (["--threads", flag] if flag else [])
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert ("--threads" if flag else "IBC_NUM_THREADS") in err
+def test_bad_run_value_is_config_error(tmp_path, capsys, command, key, value):
+    run = {"lambdas": "0, 2", "etas": "0.3", "ladder": "2, 4", key: value}
+    cfg = write_config(tmp_path, model={"kind": "delta2d", "g": 0.8},
+                       grid={"points_per_axis": 2, "k_max": 2.0, "n_max": 1},
+                       run=run, output={"dir": str(tmp_path / "out")})
+    assert cli.main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [run] {key} = {value}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -335,20 +349,6 @@ def test_model_mismatch_is_config_error(tmp_path, capsys, monkeypatch, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error: [model]")
     assert not (tmp_path / "out").exists()
-
-
-class TestThreadsPlumbing:
-    def test_env_variable_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IBC_NUM_THREADS", "2")
-        cfg = write_config(tmp_path, model={"kind": "delta2d"})
-        loaded = cli.load_config(cfg, overrides={})
-        assert loaded.threads == 2
-
-    def test_flag_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IBC_NUM_THREADS", "2")
-        cfg = write_config(tmp_path, model={"kind": "delta2d"})
-        loaded = cli.load_config(cfg, overrides={"threads": 5})
-        assert loaded.threads == 5
 
 
 class TestConfigEmbedding:

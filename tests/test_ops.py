@@ -28,6 +28,15 @@ def froehlich_setup():
     return m, space
 
 
+@pytest.fixture(scope="module")
+def two_source_setup():
+    # on 2 points per axis every transfer is 0, so the two-source tests
+    # there see no shifted source pairing; on 4 x 4 the sources trade momentum
+    m = model.delta2d(g=0.9, M=2)
+    space = FockSpace(build_grid(GridSpec(2, 4, 2.0)), 2, 2)
+    return m, space
+
+
 def dense(handle):
     return ops.assemble_dense(handle)
 
@@ -301,6 +310,25 @@ class TestContactTerm:
     def test_two_source_split_matches_composition(self):
         m = model.delta2d(g=0.9, M=2)
         space = FockSpace(build_grid(GridSpec(2, 2, 1.0)), 2, 2)
+        e = ops.counterterm_grid(m, space, None)
+        v = FockVector.random(space, 33)
+        split = (ops.contact_diagonal(m, space).apply(v)
+                 + ops.contact_offdiagonal(m, space).apply(v))
+        composed = m.g * ops.apply_annihilation(
+            m, space, None, ops.apply_boundary_map(m, space, None, v)) + e * v
+        assert (split - composed).norm() < 1e-12 * v.norm()
+
+    def test_offdiagonal_hermitian_two_sources_with_transfers(self, two_source_setup):
+        m, space = two_source_setup
+        t = ops.contact_offdiagonal(m, space).matrix
+        assert abs(t - t.T).max() < 1e-11
+        source = np.concatenate([np.repeat(np.arange(space.n_source_tuples), len(ms))
+                                 for ms in space.msets])
+        coo = t.tocoo()
+        assert np.any(source[coo.row] != source[coo.col])
+
+    def test_two_source_split_matches_composition_with_transfers(self, two_source_setup):
+        m, space = two_source_setup
         e = ops.counterterm_grid(m, space, None)
         v = FockVector.random(space, 33)
         split = (ops.contact_diagonal(m, space).apply(v)
