@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-# gmres is unused; perfbench/tracing.py patches it by name until benchmark v2
-from scipy.sparse.linalg import ArpackError, eigsh, gmres, splu, svds  # noqa: F401
+# scipy.sparse.linalg is imported inside the functions that solve, so a
+# command that solves nothing never loads SuperLU or ARPACK
 
 from . import __version__, ops
 from . import model as model_mod
@@ -35,6 +35,12 @@ __all__ = [
     "ground_energy",
     "number_bound_check",
 ]
+
+
+def gmres(*args, **kwargs):
+    """scipy's GMRES; no solver here calls it, perfbench/tracing.py wraps it by name."""
+    from scipy.sparse.linalg import gmres
+    return gmres(*args, **kwargs)
 
 
 class NoConvergence(RuntimeError):
@@ -87,6 +93,7 @@ def resolvent_solve(op, z, psis, tol=1e-8):
             raise SpaceTooLarge(f"the sparse LU of a Schur complement with {schur.nnz} "
                                 f"entries needs about {need / 2**30:.3g} GiB, over the "
                                 f"limit of {ops.ASSEMBLY_BUDGET_BYTES / 2**30:.3g} GiB")
+        from scipy.sparse.linalg import splu
         x[:top] = splu(schur, permc_spec="MMD_AT_PLUS_A").solve(
             b[:top] - ops.matvec(a_lt, x[top:]))
         x[top:] -= ops.matvec(a_lt.T, x[:top]) / d_t
@@ -412,6 +419,7 @@ def sector_norm_estimate(op, n):
     off = np.cumsum([0] + space.dims)
     block = op.matrix[:, off[n]:off[n + 1]]
     start = np.random.default_rng(0).standard_normal(min(block.shape))
+    from scipy.sparse.linalg import ArpackError, svds
     try:
         sigma = svds(block, k=1, v0=start, return_singular_vectors=False)[0]
     except ArpackError as exc:                  # ArpackNoConvergence included
@@ -454,6 +462,7 @@ def ground_energy(model, space, mode=ops.DiagonalMode.GRID_CONSISTENT, k=1,
         vals = np.linalg.eigvalsh(ops.assemble_dense(h))
         return [float(v) for v in vals[:k]]
 
+    from scipy.sparse.linalg import ArpackError, eigsh
     try:
         vals, vecs = eigsh(h.matrix, k=k, which="SA", tol=tol)
     except ArpackError as exc:                  # ArpackNoConvergence included

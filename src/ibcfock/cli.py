@@ -139,13 +139,12 @@ def load_config(path, overrides=None):
             raise ConfigError("[grid] n_max must be >= 0")
 
     run = dict(cp["run"]) if "run" in cp else {}
-    for key in ("tol", "probe_width"):
+    for key in ("tol", "probe_width", "cauchy_tol", "growth_threshold"):
         if key in run and not 0 < _number(cp["run"], key, float, None) < float("inf"):
             raise ConfigError(f"[run] {key} = {run[key]} must be finite and positive")
     if "run" in cp:      # the keys only the commands read, checked here too
-        for key, conv in (("probes", int), ("eigenvalues", int), ("probe_seed", int),
-                          ("cauchy_tol", float), ("growth_threshold", float)):
-            _number(cp["run"], key, conv, None)
+        for key in ("probes", "eigenvalues", "probe_seed"):
+            _number(cp["run"], key, int, None)
         for key in ("eigenvalues", "probes"):
             if _number(cp["run"], key, int, 1) < 1:
                 raise ConfigError(f"[run] {key} = {run[key]} must be >= 1")
@@ -326,11 +325,19 @@ def cmd_bounds(cfg):
         thetas = _floats(cfg.run.get("thetas", "1.5 2 2.5"))
         p_values = _floats(cfg.run.get("p_values", "")) or list(
             np.logspace(-1, 3, 9))
+        theta_ok, theta_rule = all(1 < t < 3 for t in thetas), "in (1, 3) for d = 3"
     elif d == 2:
-        thetas = [int(t) for t in _floats(cfg.run.get("thetas", "1 2"))]
+        thetas = _floats(cfg.run.get("thetas", "1 2"))
         p_values = _floats(cfg.run.get("p_values", "")) or [1., 4., 16., 64., 256.]
+        theta_ok, theta_rule = all(t in (1, 2) for t in thetas), "1 or 2 for d = 2"
     else:
         raise ConfigError("bound sweeps need a d = 2 or d = 3 model")
+    if not (thetas and theta_ok):
+        raise ConfigError(f"[run] thetas = {cfg.run['thetas']} must be a nonempty "
+                          f"list of values {theta_rule}")
+    if not all(0 < p < float("inf") for p in p_values):
+        raise ConfigError(f"[run] p_values = {cfg.run['p_values']} must be finite "
+                          "and positive")
     tol = float(cfg.run.get("tol", 1e-6))
     rows = quad.bound_sweep(d, p_values, thetas, tol)
     csv_text = "p,theta,integral,ratio\n" + "\n".join(

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "QuadratureFailure",
@@ -58,7 +57,10 @@ def _quad_1d(f, a, b, tol, points=None):
 
     Returns (value, abserr, neval); raises QuadratureFailure if the
     internal estimate does not satisfy abserr <= tol*|value| + tiny.
+    QUADPACK is imported here, so a run that integrates nothing never loads it.
     """
+    from scipy import integrate
+
     kwargs = {"epsabs": _TINY, "epsrel": max(tol, 1e-13), "limit": 200, "full_output": 1}
     if points is not None and np.isfinite(b):
         kwargs["points"] = [x for x in points if a < x < b]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ibcfock import analysis, model, ops
 from ibcfock.grid import FockSpace, FockVector, GridSpec, SpaceTooLarge, build_grid
@@ -101,7 +102,7 @@ class TestResolventSolve:
         def no_factor(*args, **kwargs):
             raise AssertionError("splu called over the budget")
 
-        monkeypatch.setattr(analysis, "splu", no_factor)
+        monkeypatch.setattr(spla, "splu", no_factor)
         with pytest.raises(SpaceTooLarge, match="sparse LU"):
             analysis.resolvent_solve(h, 1j, [FockVector.random(space, 10)])
 
@@ -356,7 +357,7 @@ class TestGroundEnergy:
             vecs[0] = 1.0
             return np.full(k, -1.0), vecs      # not an eigenpair
 
-        monkeypatch.setattr(analysis, "eigsh", bad_eigsh)
+        monkeypatch.setattr(spla, "eigsh", bad_eigsh)
         with pytest.raises(analysis.NoConvergence):
             analysis.ground_energy(m, space, k=1, method="iterative")
 
@@ -364,7 +365,7 @@ class TestGroundEnergy:
         m, space = small_setup
         basis_bytes = 20 * space.total_dim * 8          # eigsh's 20 Lanczos vectors
         monkeypatch.setattr(ops, "ASSEMBLY_BUDGET_BYTES", basis_bytes - 1)
-        monkeypatch.setattr(analysis, "eigsh",
+        monkeypatch.setattr(spla, "eigsh",
                             lambda *args, **kwargs: pytest.fail("eigsh called"))
         with pytest.raises(SpaceTooLarge, match="Lanczos basis"):
             analysis.ground_energy(m, space, k=1, method="iterative")
@@ -375,7 +376,7 @@ class TestGroundEnergy:
         def oom_eigsh(*args, **kwargs):
             raise MemoryError("no room for the Lanczos vectors")
 
-        monkeypatch.setattr(analysis, "eigsh", oom_eigsh)
+        monkeypatch.setattr(spla, "eigsh", oom_eigsh)
         with pytest.raises(MemoryError):
             analysis.ground_energy(m, space, k=1, method="iterative")
 

@@ -272,6 +272,10 @@ def test_nonpositive_eigenvalue_count_is_config_error(small_delta_cfg, tmp_path,
     ("scan", "etas", "nan"),
     ("scan", "etas", "inf"),
     ("scan", "probe_width", "nan"),
+    ("scan", "cauchy_tol", "nan"),
+    ("scan", "cauchy_tol", "0"),
+    ("scan", "growth_threshold", "nan"),
+    ("scan", "growth_threshold", "-1"),
 ])
 def test_bad_run_value_is_config_error(tmp_path, capsys, command, key, value):
     run = {"lambdas": "0, 2", "etas": "0.3", "ladder": "2, 4", key: value}
@@ -309,6 +313,28 @@ def test_bad_scan_ladder_is_config_error(tmp_path, capsys, monkeypatch, key, val
         err = capsys.readouterr().err
         assert err.startswith("config error: [run]") and key in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("nelson", "p_values", "nan, 1"),
+    ("nelson", "p_values", "0, 1"),
+    ("nelson", "p_values", "1, inf"),
+    ("nelson", "thetas", "4"),
+    ("nelson", "thetas", "1"),
+    ("nelson", "thetas", "nan"),
+    ("nelson", "thetas", ""),
+    ("delta2d", "thetas", "1.5"),
+    ("delta2d", "thetas", "3"),
+    ("delta2d", "thetas", "nan"),
+])
+def test_bad_bound_value_is_config_error(tmp_path, capsys, monkeypatch, kind, key, value):
+    cfg = write_config(tmp_path, model={"kind": kind, "g": 1.0}, run={key: value},
+                       output={"dir": str(tmp_path / "out")})
+    monkeypatch.setattr(cli.quad, "bound_sweep",
+                        lambda *args: pytest.fail("sweep started"))
+    assert cli.main(["bounds", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [run] {key} = {value} ")
+    assert not (tmp_path / "out").exists()
 
 
 def _assert_oversized_refused(tmp_path, capsys, name, seconds):
